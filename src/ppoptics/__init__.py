@@ -41,11 +41,11 @@ from .samplers import (
     PointConfiguration,
     Window,
     sample_cox,
-    sample_dpp_mixture,
-    sample_fock_pp,
-    sample_permanental,
-    sample_poisson,
-    sample_projection_dpp,
+    sample_dpp_mixture_batch,
+    sample_fock_pp_batch,
+    sample_permanental_batch,
+    sample_poisson_batch,
+    sample_projection_dpp_batch,
     validate_kernel,
 )
 from .wick import (

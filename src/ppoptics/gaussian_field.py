@@ -6,8 +6,6 @@ embedded spectrum is nonnegative); the analytic signal maps real
 samples to their positive-frequency envelope representation.
 """
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -81,22 +79,6 @@ class ComplexTrajectory:
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re", "im"])
-            for t, v in zip(self.grid.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
-        t = data[:, 0]
-        grid = TrajectoryGrid(t0=t[0], dt=t[1] - t[0], n=len(t))
-        return cls(grid, data[:, 1] + 1j * data[:, 2])
 
 
 def _check_carrier_resolved(cov: StationaryCovariance, grid: TrajectoryGrid):

@@ -1,11 +1,17 @@
 """Samplers for Poisson, Cox, permanental, determinantal, and fixed-count
-i.i.d. point processes on an interval.
+i.i.d. point processes on an interval, plus batch CSV I/O.
 
-Continuous sampling happens on a dense uniform grid (inverse-CDF draws
-with uniform jitter inside a cell); grid density is a knob and
-convergence is checked by doubling in the tests.  Every sampler is
-deterministic given its seed, and replicates use independently spawned
-child seeds.
+The sampler API is batch-only: each family has one `sample_*_batch`
+function, and a single draw is `reps=1`.  Replicates use independently
+spawned child seeds, so every batch is deterministic given its seed.
+`sample_cox` is the exception: it draws once on a given intensity path,
+from a seed or a `Generator`.
+
+Continuous sampling happens on a dense uniform `CellGrid` (inverse-CDF
+draws with uniform jitter inside a cell); grid density is a knob and
+convergence is checked by doubling in the tests.  Projection kernels use
+the sequential scheme of Hough, Krishnapur, Peres and Virag (2006); general
+determinantal kernels use the Bernoulli mixture over projections.
 """
 
 import csv
@@ -16,7 +22,7 @@ import numpy as np
 
 from .config import TOL
 from .gaussian_field import TrajectoryGrid, embedding_spectrum, _embedded_complex_sample
-from .kernels import SpectralKernel, StationaryCovariance
+from .kernels import SpectralKernel
 
 
 class RankLossError(RuntimeError):
@@ -35,6 +41,18 @@ class Window:
     @property
     def length(self) -> float:
         return self.b - self.a
+
+
+class CellGrid:
+    """Uniform cells covering a window: `n` cells of width `cell` with midpoints `centers`.
+
+    The window gets nodes_per_unit cells per unit length, and never fewer than 1024.
+    """
+
+    def __init__(self, window: Window, nodes_per_unit: int):
+        self.n = max(1024, int(round(nodes_per_unit * window.length)))
+        self.cell = window.length / self.n
+        self.centers = window.a + (np.arange(self.n) + 0.5) * self.cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,27 +122,25 @@ def _simple_sorted(points: np.ndarray, window: Window, rng, cell: float) -> np.n
 # Poisson and Cox
 
 
-def sample_poisson(rate_fn, rate_max: float, w: Window, seed) -> PointConfiguration:
-    """Inhomogeneous Poisson sample by thinning a homogeneous rate_max process."""
-    rng = np.random.default_rng(seed)
-    return _poisson_with_rng(rate_fn, rate_max, w, rng)
-
-
-def _poisson_with_rng(rate_fn, rate_max, w, rng) -> PointConfiguration:
+def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
+    """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process."""
     if rate_max <= 0:
         raise ValueError(f"rate_max must be positive, got {rate_max}")
-    n = rng.poisson(rate_max * w.length)
-    t = w.a + w.length * rng.random(n)
-    vals = np.asarray(rate_fn(t), dtype=float)
-    if vals.shape != t.shape:
-        vals = np.array([float(rate_fn(ti)) for ti in t])
-    if vals.size and vals.max() > rate_max * (1 + 1e-12):
-        worst = t[np.argmax(vals)]
-        raise ValueError(
-            f"rate_fn({worst:g}) = {vals.max():g} exceeds rate_max = {rate_max:g}"
-        )
-    keep = rng.random(n) * rate_max < vals
-    return PointConfiguration(np.unique(t[keep]), w)
+    out = []
+    for rng in _child_rngs(seed, reps):
+        n = rng.poisson(rate_max * w.length)
+        t = w.a + w.length * rng.random(n)
+        vals = np.asarray(rate_fn(t), dtype=float)
+        if vals.shape != t.shape:
+            vals = np.array([float(rate_fn(ti)) for ti in t])
+        if vals.size and vals.max() > rate_max * (1 + 1e-12):
+            worst = t[np.argmax(vals)]
+            raise ValueError(
+                f"rate_fn({worst:g}) = {vals.max():g} exceeds rate_max = {rate_max:g}"
+            )
+        keep = rng.random(n) * rate_max < vals
+        out.append(PointConfiguration(np.unique(t[keep]), w))
+    return out
 
 
 def sample_cox(
@@ -134,12 +150,10 @@ def sample_cox(
 
     `intensity` is the nonnegative path (e.g. |E+|^2) on the grid cells,
     interpolated as piecewise constant; the rate is scale * intensity.
+    `seed` is a seed or a `Generator`, which is drawn from in place.
     """
     rng = np.random.default_rng(seed)
-    return _cox_with_rng(np.asarray(intensity, dtype=float), grid, scale, w, rng)
-
-
-def _cox_with_rng(intensity, grid, scale, w, rng) -> PointConfiguration:
+    intensity = np.asarray(intensity, dtype=float)
     if scale < 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     if intensity.shape != (grid.n,):
@@ -168,32 +182,22 @@ def _cox_with_rng(intensity, grid, scale, w, rng) -> PointConfiguration:
 # Permanental (Cox process driven by a squared complex Gaussian field)
 
 
-def _field_grid(cov: StationaryCovariance, w: Window, nodes_per_unit: int) -> TrajectoryGrid:
-    # 5 envelope lengths of margin on each side of the observation window
-    margin = 5.0 * cov.params.get("sigma", w.length / 4.0)
-    return TrajectoryGrid.for_window(w.a, w.b, margin, nodes_per_unit)
-
-
-def sample_permanental(
-    cov: StationaryCovariance, scale: float, w: Window, seed, nodes_per_unit: int = 4096
-) -> PointConfiguration:
-    """One permanental sample with kernel scale * cov.
-
-    Composes a circularly-symmetric complex Gaussian field draw with a
-    Cox draw at rate scale * |E+|^2.
-    """
-    return sample_permanental_batch(cov, scale, w, 1, seed, nodes_per_unit)[0]
-
-
 def sample_permanental_batch(
     cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = 4096
 ) -> list:
-    grid = _field_grid(cov, w, nodes_per_unit)
+    """Permanental samples with kernel scale * cov.
+
+    Each replicate composes a circularly-symmetric complex Gaussian field
+    draw with a Cox draw at rate scale * |E+|^2.
+    """
+    # 5 envelope lengths of margin on each side of the observation window
+    margin = 5.0 * cov.params.get("sigma", w.length / 4.0)
+    grid = TrajectoryGrid.for_window(w.a, w.b, margin, nodes_per_unit)
     d = embedding_spectrum(cov, grid)
     out = []
     for rng in _child_rngs(seed, reps):
         field = _embedded_complex_sample(d, rng)[: grid.n]
-        out.append(_cox_with_rng(np.abs(field) ** 2, grid, scale, w, rng))
+        out.append(sample_cox(np.abs(field) ** 2, grid, scale, w, rng))
     return out
 
 
@@ -202,9 +206,12 @@ def sample_permanental_batch(
 
 
 class _ProjectionSampler:
-    """Sequential sampler for a rank-N projection kernel on a dense grid.
+    """Sequential sampler for a rank-N projection kernel on a cell grid
+    (Hough, Krishnapur, Peres and Virag 2006).
 
-    The chain-rule conditional density after j accepted points is
+    `features[k, i]` is the k-th orthonormal basis function at cell i, and
+    `diag` is the kernel diagonal K(x, x) on the cells.  The chain-rule
+    conditional density after j accepted points is
     (K(x,x) - sum_i |<e_i, phi(x)>|^2) / (N - j), with e_i the
     orthonormalized feature directions of the accepted points.  Each
     conditional draw is realized by exact rejection from the fixed
@@ -213,34 +220,15 @@ class _ProjectionSampler:
 
     MAX_TRIES = 2000
 
-    def __init__(self, kernel: SpectralKernel, w: Window, nodes_per_unit: int = 4096):
-        lam = kernel.eigenvalues
-        unit = np.abs(lam - 1.0) <= 1e-9
-        zero = np.abs(lam) <= 1e-9
-        if not np.all(unit | zero):
-            raise ValueError("projection sampling requires all eigenvalues in {0, 1}")
-        self.n_points = int(unit.sum())
-        self.window = w
-        n_cells = max(1024, int(round(nodes_per_unit * w.length)))
-        self.cell = w.length / n_cells
-        self.centers = w.a + (np.arange(n_cells) + 0.5) * self.cell
-        basis = tuple(f for f, u in zip(kernel.basis, unit) if u)
-        sub = SpectralKernel(np.ones(self.n_points), basis, kernel.eta, (w.a, w.b))
-        self.features = sub.feature_matrix(self.centers)
-        self.diag = np.real(np.einsum("ki,ki->i", self.features, self.features.conj()))
-        self.cdf = np.cumsum(self.diag)
+    def __init__(self, features: np.ndarray, diag: np.ndarray, grid: CellGrid):
+        self.features = features
+        self.diag = diag
+        self.grid = grid
+        self.cdf = np.cumsum(diag)
         self.total = self.cdf[-1]
-        trace = self.total * self.cell
-        if self.n_points and abs(trace - self.n_points) > 0.05 * self.n_points:
-            raise ValueError(
-                f"kernel trace on the window is {trace:.3f}, expected {self.n_points}; "
-                "the basis is not orthonormal on this window or the grid is too coarse"
-            )
 
     def sample(self, rng) -> np.ndarray:
-        n = self.n_points
-        if n == 0:
-            return np.empty(0)
+        n = self.features.shape[0]
         directions = np.zeros((n, n), dtype=complex)
         points = np.empty(n)
         for j in range(n):
@@ -255,13 +243,13 @@ class _ProjectionSampler:
                 e = e - coef2 @ directions[:j]
                 norm = np.linalg.norm(e)
             directions[j] = e / norm
-            points[j] = self.centers[idx] + (rng.random() - 0.5) * self.cell
+            points[j] = self.grid.centers[idx] + (rng.random() - 0.5) * self.grid.cell
         return points
 
     def _accept_index(self, rng, accepted) -> int:
         for _ in range(self.MAX_TRIES):
             u, v = rng.random(2)
-            idx = min(np.searchsorted(self.cdf, u * self.total), self.diag.size - 1)
+            idx = min(np.searchsorted(self.cdf, u * self.total), self.grid.n - 1)
             q = self.diag[idx]
             if q <= 0:
                 continue
@@ -270,7 +258,7 @@ class _ProjectionSampler:
             if v * q <= resid:
                 return idx
         mass = self._residual_mass(accepted)
-        if mass < TOL.rank_loss * self.n_points:
+        if mass < TOL.rank_loss * self.features.shape[0]:
             raise RankLossError(
                 f"projected diagonal mass {mass:.3e} after {accepted.shape[0]} points"
             )
@@ -281,69 +269,72 @@ class _ProjectionSampler:
 
     def _residual_mass(self, accepted) -> float:
         proj = np.abs(accepted.conj() @ self.features) ** 2
-        return float((self.diag - proj.sum(axis=0)).sum() * self.cell)
+        return float((self.diag - proj.sum(axis=0)).sum() * self.grid.cell)
 
 
-def sample_projection_dpp(
-    kernel: SpectralKernel, w: Window, seed, nodes_per_unit: int = 4096
-) -> PointConfiguration:
-    """Exactly-N sample of a projection determinantal process."""
-    return sample_projection_dpp_batch(kernel, w, 1, seed, nodes_per_unit)[0]
+def _projection_features(basis, w: Window, grid: CellGrid):
+    """Feature matrix and diagonal of the projection onto `basis` on the cells.
+
+    The trace on the window must match the rank to within 5%.
+    """
+    rank = len(basis)
+    sub = SpectralKernel(np.ones(rank), tuple(basis), -1, (w.a, w.b))
+    features = sub.feature_matrix(grid.centers)
+    diag = np.real(np.einsum("ki,ki->i", features, features.conj()))
+    trace = diag.sum() * grid.cell
+    if abs(trace - rank) > 0.05 * rank:
+        raise ValueError(
+            f"kernel trace on the window is {trace:.3f}, expected {rank}; "
+            "the basis is not orthonormal on this window or the grid is too coarse"
+        )
+    return features, diag
 
 
 def sample_projection_dpp_batch(
     kernel, w: Window, reps: int, seed, nodes_per_unit: int = 4096
 ) -> list:
+    """Exactly-N samples of a projection determinantal process."""
     if kernel.eta != -1:
         raise ValueError("the sequential conditional scheme samples determinantal kernels")
-    sampler = _ProjectionSampler(kernel, w, nodes_per_unit)
+    lam = kernel.eigenvalues
+    unit = np.abs(lam - 1.0) <= 1e-9
+    if not np.all(unit | (np.abs(lam) <= 1e-9)):
+        raise ValueError("projection sampling requires all eigenvalues in {0, 1}")
+    grid = CellGrid(w, nodes_per_unit)
+    features, diag = _projection_features(
+        [f for f, u in zip(kernel.basis, unit) if u], w, grid
+    )
+    sampler = _ProjectionSampler(features, diag, grid)
     out = []
     for rng in _child_rngs(seed, reps):
-        pts = _simple_sorted(sampler.sample(rng), w, rng, sampler.cell)
+        pts = _simple_sorted(sampler.sample(rng), w, rng, grid.cell)
         out.append(PointConfiguration(pts, w))
     return out
-
-
-def sample_dpp_mixture(
-    kernel: SpectralKernel, w: Window, seed, nodes_per_unit: int = 4096
-) -> PointConfiguration:
-    """DPP sample via the Bernoulli mixture over projection kernels."""
-    return sample_dpp_mixture_batch(kernel, w, 1, seed, nodes_per_unit)[0]
 
 
 def sample_dpp_mixture_batch(
     kernel, w: Window, reps: int, seed, nodes_per_unit: int = 4096
 ) -> list:
+    """DPP samples via the Bernoulli mixture over projection kernels.
+
+    Each replicate keeps eigenfunction i with probability lambda_i and
+    samples the projection onto the kept ones.
+    """
     if kernel.eta != -1:
         raise ValueError("the Bernoulli mixture construction is determinantal (eta=-1)")
     report = validate_kernel(kernel)
     if not report:
         raise ValueError(f"kernel fails the validity check: {report.violations}")
-    # precompute features for the full basis once; per-replicate subsets are row views
-    proto = _ProjectionSampler(
-        SpectralKernel(np.ones(kernel.rank), kernel.basis, -1, kernel.window),
-        w,
-        nodes_per_unit,
-    )
+    grid = CellGrid(w, nodes_per_unit)
+    # features of the full basis once; per-replicate subsets are row selections
+    features, _ = _projection_features(kernel.basis, w, grid)
+    abs2 = np.abs(features) ** 2
     lam = kernel.eigenvalues
-    abs2 = np.abs(proto.features) ** 2
     out = []
     for rng in _child_rngs(seed, reps):
         keep = rng.random(lam.size) < lam
-        n_keep = int(keep.sum())
-        if n_keep == 0:
-            out.append(PointConfiguration(np.empty(0), w))
-            continue
-        sub = _ProjectionSampler.__new__(_ProjectionSampler)
-        sub.n_points = n_keep
-        sub.window = w
-        sub.cell = proto.cell
-        sub.centers = proto.centers
-        sub.features = proto.features[keep]
-        sub.diag = abs2[keep].sum(axis=0)
-        sub.cdf = np.cumsum(sub.diag)
-        sub.total = sub.cdf[-1]
-        pts = _simple_sorted(sub.sample(rng), w, rng, sub.cell)
+        sampler = _ProjectionSampler(features[keep], abs2[keep].sum(axis=0), grid)
+        pts = _simple_sorted(sampler.sample(rng), w, rng, grid.cell)
         out.append(PointConfiguration(pts, w))
     return out
 
@@ -352,40 +343,28 @@ def sample_dpp_mixture_batch(
 # Fixed-count i.i.d. process (single-mode number state)
 
 
-def sample_fock_pp(
-    phi_plus, k: int, w: Window, seed, nodes_per_unit: int = 4096
-) -> PointConfiguration:
-    """k i.i.d. draws from the density proportional to |phi_plus|^2."""
-    return sample_fock_pp_batch(phi_plus, k, w, 1, seed, nodes_per_unit)[0]
-
-
 def sample_fock_pp_batch(
     phi_plus, k: int, w: Window, reps: int, seed, nodes_per_unit: int = 4096
 ) -> list:
+    """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    n_cells = max(1024, int(round(nodes_per_unit * w.length)))
-    cell = w.length / n_cells
-    centers = w.a + (np.arange(n_cells) + 0.5) * cell
-    masses = np.abs(np.asarray(phi_plus(centers), dtype=complex)) ** 2
+    grid = CellGrid(w, nodes_per_unit)
+    masses = np.abs(np.asarray(phi_plus(grid.centers), dtype=complex)) ** 2
     total = masses.sum()
     if total <= 0:
         raise ValueError("|phi_plus|^2 has zero total mass on the window")
     cdf = np.cumsum(masses)
     out = []
     for rng in _child_rngs(seed, reps):
-        idx = np.minimum(np.searchsorted(cdf, rng.random(k) * total), n_cells - 1)
-        pts = centers[idx] + (rng.random(k) - 0.5) * cell
-        out.append(PointConfiguration(_simple_sorted(pts, w, rng, cell), w))
+        idx = np.minimum(np.searchsorted(cdf, rng.random(k) * total), grid.n - 1)
+        pts = grid.centers[idx] + (rng.random(k) - 0.5) * grid.cell
+        out.append(PointConfiguration(_simple_sorted(pts, w, rng, grid.cell), w))
     return out
 
 
-def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
-    return [_poisson_with_rng(rate_fn, rate_max, w, rng) for rng in _child_rngs(seed, reps)]
-
-
 # ---------------------------------------------------------------------------
-# Serialization
+# Batch CSV I/O
 
 _BATCH_MAGIC = "# ppoptics-batch "
 
@@ -418,21 +397,3 @@ def load_batch_csv(path):
     for row in rows[1:]:
         points[int(row[0])].append(float(row[1]))
     return [PointConfiguration(np.array(p), w) for p in points], meta
-
-
-def batch_to_json(batch: list, meta: dict) -> str:
-    window = batch[0].window
-    return json.dumps(
-        {
-            "meta": meta,
-            "window": [window.a, window.b],
-            "points": [config.points.tolist() for config in batch],
-        },
-        sort_keys=True,
-    )
-
-
-def batch_from_json(text: str):
-    doc = json.loads(text)
-    w = Window(*doc["window"])
-    return [PointConfiguration(np.array(p), w) for p in doc["points"]], doc["meta"]

@@ -1,12 +1,13 @@
 """Command-line surface: sampling runs, pcf gating, verify suites,
 byte-exact reproducibility."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from ppoptics import cli
+from ppoptics import cli, fock
 from ppoptics.samplers import load_batch_csv
 
 
@@ -28,11 +29,16 @@ class TestSample:
         counts = [len(c) for c in batch]
         assert abs(np.mean(counts) - 50.0) < 3 * np.sqrt(50.0 / 100)
 
-    def test_byte_identical_rerun(self, tmp_path):
-        args = [
-            "sample", "--family", "poisson", "--rate", "20", "--reps", "50",
-            "--seed", "3",
-        ]
+    @pytest.mark.parametrize("family_args", [
+        ["poisson", "--rate", "20"],
+        ["permanental", "--scale", "25"],
+        ["projection-dpp", "--kernel", "hermite:n_modes=6", "--window-from-kernel"],
+        ["dpp-mixture", "--kernel", "hermite:n_modes=6", "--lambdas", "0.9,0.7,0.5,0.5,0.3,0.1",
+         "--window-from-kernel"],
+        ["fock", "--k", "5"],
+    ], ids=lambda a: a[0])
+    def test_byte_identical_rerun(self, family_args, tmp_path):
+        args = ["sample", "--family", *family_args, "--reps", "10", "--seed", "3"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
@@ -57,6 +63,16 @@ class TestSample:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_json_error(self, reps, tmp_path, capsys):
+        code = run([
+            "sample", "--family", "poisson", "--rate", "5", "--reps", reps,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "--reps" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "x.csv").exists()
 
     def test_mixture_lambda_count_mismatch(self, tmp_path):
         code = run([
@@ -122,6 +138,13 @@ class TestPcf:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_not_a_batch_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("replicate_id,t\n0,0.5\n")
+        code = run(["pcf", "--batch", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "not a batch file" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["ccr", "coherent", "builder"])
@@ -139,6 +162,13 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["checks"][0]["value"] < 1e-9
+
+    def test_wick_case_worst_boson_at_lower_gap(self):
+        # three quanta piled on one mode probe the cutoff-8 truncation hardest
+        gap = inspect.signature(cli.random_gaussian_case).parameters["bosonic_gap"].default[0]
+        ops = [("annihilate", 0)] * 3 + [("create", 0)] * 3
+        check = fock.wick_verify(fock.ModeSpec(1, 8, 1), np.array([gap]), 1.0, 0.0, ops)
+        assert check.deviation / (1.0 + abs(check.exact)) < 1e-9
 
     def test_gue_suite_small(self, tmp_path):
         # light replicate count; the acceptance suite runs the full one

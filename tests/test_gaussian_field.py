@@ -192,17 +192,6 @@ class TestComplexCircularGp:
 
 
 class TestTrajectoryIo:
-    def test_csv_round_trip(self, tmp_path):
-        grid = TrajectoryGrid(0.25, 1 / 64, 128)
-        rng = np.random.default_rng(0)
-        tr = ComplexTrajectory(grid, rng.standard_normal(128) + 1j * rng.standard_normal(128))
-        path = tmp_path / "traj.csv"
-        tr.to_csv(path)
-        back = ComplexTrajectory.from_csv(path)
-        assert np.allclose(back.values, tr.values)
-        assert back.grid.n == tr.grid.n
-        assert back.grid.t0 == pytest.approx(tr.grid.t0)
-
     def test_from_real(self):
         grid = TrajectoryGrid(0.0, 1 / 64, 256)
         x = np.cos(2 * np.pi * 4 * grid.times)

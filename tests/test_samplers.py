@@ -1,12 +1,16 @@
 """Point-process samplers: count laws, densities, dispersion direction,
 cardinality, and serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, norm
 
 from ppoptics import kernels, samplers
-from ppoptics.samplers import PointConfiguration, Window
+from ppoptics.samplers import CellGrid, PointConfiguration, RankLossError, Window
 
 
 def batch_counts(batch):
@@ -38,10 +42,61 @@ class TestPointConfiguration:
         assert np.allclose(c.points, [2.25, 2.5])
         assert c.window == Window(2.0, 3.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1.0, 2.0), max_size=20),
+        a=st.floats(-0.5, 0.5),
+        length=st.floats(0.1, 1.5),
+    )
+    def test_invariants(self, values, a, length):
+        w = Window(a, a + length)
+        inside = all(w.a <= v <= w.b for v in values)
+        if not inside or len(set(values)) < len(values):
+            with pytest.raises(ValueError):
+                PointConfiguration(values, w)
+            return
+        c = PointConfiguration(values, w)
+        assert len(c) == len(values)
+        assert_simple_sorted(c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        reps=st.integers(1, 5),
+        a=st.floats(-10.0, 10.0),
+        length=st.floats(0.01, 5.0),
+    )
+    def test_sampled_configurations_are_simple(self, seed, k, reps, a, length):
+        w = Window(a, a + length)
+        batch = samplers.sample_fock_pp_batch(np.ones_like, k, w, reps, seed, nodes_per_unit=16)
+        assert len(batch) == reps
+        for c in batch:
+            assert len(c) == k
+            assert_simple_sorted(c)
+
+
+class TestCellGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(-50.0, 50.0),
+        length=st.floats(1e-3, 100.0),
+        nodes_per_unit=st.integers(1, 8192),
+    )
+    def test_invariants(self, a, length, nodes_per_unit):
+        w = Window(a, a + length)
+        grid = CellGrid(w, nodes_per_unit)
+        assert grid.n >= 1024
+        # cell = length / n, so the product is the length up to two roundings
+        assert grid.n * grid.cell == pytest.approx(w.length, rel=4 * np.finfo(float).eps)
+        assert grid.centers.shape == (grid.n,)
+        assert w.a < grid.centers[0] and grid.centers[-1] < w.b
+        assert np.all(np.diff(grid.centers) > 0)
+
 
 class TestPoisson:
     def test_zero_rate_is_empty(self):
-        c = samplers.sample_poisson(lambda t: np.zeros_like(t), 1.0, Window(0, 1), 0)
+        (c,) = samplers.sample_poisson_batch(lambda t: np.zeros_like(t), 1.0, Window(0, 1), 1, 0)
         assert len(c) == 0
 
     def test_homogeneous_count_law(self):
@@ -65,12 +120,13 @@ class TestPoisson:
 
     def test_rate_exceeding_bound_aborts(self):
         with pytest.raises(ValueError, match="exceeds rate_max"):
-            samplers.sample_poisson(lambda t: np.full_like(t, 3.0), 2.0, Window(0, 1), 0)
+            samplers.sample_poisson_batch(lambda t: np.full_like(t, 3.0), 2.0, Window(0, 1), 1, 0)
 
     def test_determinism(self):
-        a = samplers.sample_poisson(lambda t: np.full_like(t, 20.0), 20.0, Window(0, 1), 7)
-        b = samplers.sample_poisson(lambda t: np.full_like(t, 20.0), 20.0, Window(0, 1), 7)
-        assert np.array_equal(a.points, b.points)
+        rate = lambda t: np.full_like(t, 20.0)
+        a = samplers.sample_poisson_batch(rate, 20.0, Window(0, 1), 3, 7)
+        b = samplers.sample_poisson_batch(rate, 20.0, Window(0, 1), 3, 7)
+        assert all(np.array_equal(x.points, y.points) for x, y in zip(a, b))
 
 
 class TestCox:
@@ -147,7 +203,7 @@ class TestProjectionDpp:
         kern = kernels.hermite_projection_kernel(4)
         bad = kernels.SpectralKernel([1.0, 0.5, 1.0, 1.0], kern.basis, -1, kern.window)
         with pytest.raises(ValueError, match="projection"):
-            samplers.sample_projection_dpp(bad, Window(*kern.window), 0)
+            samplers.sample_projection_dpp_batch(bad, Window(*kern.window), 1, 0)
 
     def test_grid_doubling_convergence(self):
         # empirical mean position is stable under doubling the grid density
@@ -164,6 +220,38 @@ class TestProjectionDpp:
         assert abs(m1 - m2) < 0.1
 
 
+class TestProjectionSamplerErrors:
+    """Both failure exits of the rejection loop, reached through the constructor."""
+
+    def rows(self):
+        grid = CellGrid(Window(0, 1), 1024)
+        f = np.sqrt(2.0) * np.sin(np.pi * grid.centers)
+        g = np.sqrt(2.0) * np.sin(2.0 * np.pi * grid.centers)  # orthonormal to f
+        return grid, f, g
+
+    def sampler(self, features, grid):
+        features = np.asarray(features, dtype=complex)
+        diag = (np.abs(features) ** 2).sum(axis=0)
+        return samplers._ProjectionSampler(features, diag, grid)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_identical_rows_lose_rank(self, seed):
+        grid, f, _ = self.rows()
+        sampler = self.sampler([f, f], grid)
+        with pytest.raises(RankLossError):
+            sampler.sample(np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nearly_parallel_rows_stall(self, seed):
+        # the second row leaves residual mass ~1e-10, above TOL.rank_loss but far
+        # too little for the rejection loop to accept within MAX_TRIES
+        grid, f, g = self.rows()
+        sampler = self.sampler([f, f + 1e-5 * g], grid)
+        with pytest.raises(RuntimeError, match="stalled") as info:
+            sampler.sample(np.random.default_rng(seed))
+        assert not isinstance(info.value, RankLossError)
+
+
 class TestDppMixture:
     def make_kernel(self, lams):
         base = kernels.hermite_projection_kernel(len(lams))
@@ -178,8 +266,10 @@ class TestDppMixture:
 
     def test_all_zeros_empty(self):
         kern = self.make_kernel([0.0] * 6)
-        c = samplers.sample_dpp_mixture(kern, Window(*kern.window), 0, nodes_per_unit=512)
-        assert len(c) == 0
+        batch = samplers.sample_dpp_mixture_batch(
+            kern, Window(*kern.window), 5, 0, nodes_per_unit=512
+        )
+        assert all(len(c) == 0 for c in batch)
 
     def test_mean_count_is_trace(self):
         lams = [0.9, 0.7, 0.5, 0.3, 0.1]
@@ -196,7 +286,7 @@ class TestDppMixture:
     def test_invalid_spectrum_rejected(self):
         kern = self.make_kernel([1.2, 0.5])
         with pytest.raises(ValueError, match="validity"):
-            samplers.sample_dpp_mixture(kern, Window(*kern.window), 0)
+            samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), 1, 0)
 
 
 class TestFockPp:
@@ -238,7 +328,7 @@ class TestFockPp:
 
     def test_zero_mass_error(self):
         with pytest.raises(ValueError, match="zero total mass"):
-            samplers.sample_fock_pp(lambda t: np.zeros_like(t), 3, Window(0, 1), 0)
+            samplers.sample_fock_pp_batch(lambda t: np.zeros_like(t), 3, Window(0, 1), 1, 0)
 
 
 class TestValidateKernel:
@@ -283,10 +373,25 @@ class TestSerialization:
         assert np.array_equal(back[0].points, batch[0].points)
         assert len(back[1]) == 0
 
-    def test_json_round_trip(self):
-        batch = self.make_batch()
-        text = samplers.batch_to_json(batch, {"seed": 1})
-        back, meta = samplers.batch_from_json(text)
-        assert meta == {"seed": 1}
-        assert len(back) == 3
-        assert np.array_equal(back[2].points, batch[2].points)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reps=st.integers(1, 6),
+        rate=st.floats(0.1, 30.0),
+        empty_at=st.integers(0, 6),
+        a=st.floats(-10.0, 10.0),
+        length=st.floats(0.01, 5.0),
+    )
+    def test_csv_round_trip_property(self, seed, reps, rate, empty_at, a, length):
+        w = Window(a, a + length)
+        batch = samplers.sample_poisson_batch(lambda t: np.full_like(t, rate), rate, w, reps, seed)
+        batch.insert(min(empty_at, reps), PointConfiguration([], w))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.csv"
+            samplers.save_batch_csv(path, batch, {"seed": seed})
+            back, meta = samplers.load_batch_csv(path)
+        assert meta["seed"] == seed
+        assert len(back) == len(batch)
+        for got, want in zip(back, batch):
+            assert got.window == w
+            assert np.array_equal(got.points, want.points)
