@@ -19,8 +19,6 @@ from .builder import (
 )
 from .estimators import PcfEstimate, count_statistics, estimate_intensity, estimate_pcf
 from .gaussian_field import (
-    ComplexTrajectory,
-    TrajectoryGrid,
     analytic_signal,
     sample_complex_circular_gp,
     sample_stationary_gp,

@@ -47,14 +47,21 @@ def parse_kernel_arg(text: str) -> dict:
     return {"name": name, "params": params}
 
 
+def _spectral_kernel(spec: dict) -> kernels.SpectralKernel:
+    kern = kernels.kernel_from_spec(spec)
+    if not isinstance(kern, kernels.SpectralKernel):
+        raise ValueError(f"kernel {spec['name']!r} has no eigen-decomposition to sample from")
+    return kern
+
+
 # ---------------------------------------------------------------------------
 # sample
 
 
 def cmd_sample(args) -> int:
-    w = Window(args.window[0], args.window[1])
     meta = {"family": args.family, "seed": args.seed, "command": "sample"}
     try:
+        w = Window(args.window[0], args.window[1])
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
         if args.family == "poisson":
@@ -77,13 +84,10 @@ def cmd_sample(args) -> int:
         elif args.family == "projection-dpp":
             spec = parse_kernel_arg(args.kernel)
             meta["kernel"] = spec
-            kern = kernels.kernel_from_spec(spec)
+            kern = _spectral_kernel(spec)
             if args.window_from_kernel:
                 w = Window(*kern.window)
                 meta["window_from_kernel"] = True
-            report = samplers.validate_kernel(kern)
-            if not report:
-                raise ValueError(f"kernel fails validity: {report.violations}")
             batch = samplers.sample_projection_dpp_batch(
                 kern, w, args.reps, args.seed, args.nodes_per_unit
             )
@@ -92,16 +96,13 @@ def cmd_sample(args) -> int:
             lambdas = np.array([float(x) for x in args.lambdas.split(",")])
             meta["kernel"] = spec
             meta["lambdas"] = lambdas.tolist()
-            base = kernels.kernel_from_spec(spec)
+            base = _spectral_kernel(spec)
             if lambdas.size != base.rank:
                 raise ValueError("need one lambda per kernel eigenvalue")
             kern = kernels.SpectralKernel(lambdas, base.basis, -1, base.window)
             if args.window_from_kernel:
                 w = Window(*kern.window)
                 meta["window_from_kernel"] = True
-            report = samplers.validate_kernel(kern)
-            if not report:
-                raise ValueError(f"kernel fails validity: {report.violations}")
             batch = samplers.sample_dpp_mixture_batch(
                 kern, w, args.reps, args.seed, args.nodes_per_unit
             )
@@ -135,15 +136,12 @@ def _theory_curve(theory: str, r_mid: np.ndarray) -> np.ndarray:
     if theory == "poisson":
         return np.ones_like(r_mid)
     spec = parse_kernel_arg(theory)
-    if spec["name"] == "permanental":
-        cov = kernels.analytic_lorentz_kernel(
-            spec["params"]["sigma"], spec["params"].get("omega", 8.0 / spec["params"]["sigma"])
-        )
-        c0 = cov.at_zero
-        return np.array(
-            [kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid]
-        )
-    raise ValueError(f"unknown theory {theory!r} (use 'poisson' or 'permanental:sigma=...')")
+    sigma = spec["params"].get("sigma")
+    if spec["name"] != "permanental" or sigma is None:
+        raise ValueError(f"unknown theory {theory!r} (use 'poisson' or 'permanental:sigma=...')")
+    cov = kernels.analytic_lorentz_kernel(sigma, spec["params"].get("omega", 8.0 / sigma))
+    c0 = cov.at_zero
+    return np.array([kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid])
 
 
 def cmd_pcf(args) -> int:
@@ -151,14 +149,14 @@ def cmd_pcf(args) -> int:
     if not os.path.exists(batch_path):
         return _json_error({"error": f"batch file {batch_path} not found"})
     try:
+        if args.bins < 1:
+            raise ValueError(f"--bins must be at least 1, got {args.bins}")
         batch, meta = samplers.load_batch_csv(batch_path)
+        rmax = args.rmax if args.rmax is not None else batch[0].window.length / 4.0
+        est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
+        g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None
     except ValueError as exc:
         return _json_error({"error": str(exc)})
-    w = batch[0].window
-    rmax = args.rmax if args.rmax is not None else w.length / 4.0
-    edges = np.linspace(0.0, rmax, args.bins + 1)
-    est = estimators.estimate_pcf(batch, edges)
-    g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None
     header = "# ppoptics-pcf " + json.dumps(
         {"batch": os.path.basename(batch_path), "batch_meta": meta, "bins": args.bins,
          "rmax": rmax, "theory": args.theory},

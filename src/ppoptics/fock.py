@@ -120,12 +120,6 @@ def number_operator(spec: ModeSpec) -> FockOperator:
     return FockOperator(spec, np.diag(spec.occupations().sum(axis=1)).astype(complex))
 
 
-def vacuum_state(spec: ModeSpec) -> np.ndarray:
-    v = np.zeros(spec.dimension, dtype=complex)
-    v[0] = 1.0
-    return v
-
-
 def check_commutation(spec: ModeSpec) -> dict:
     """Maximum deviations from the canonical (anti)commutation relations.
 

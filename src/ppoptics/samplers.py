@@ -7,11 +7,15 @@ spawned child seeds, so every batch is deterministic given its seed.
 `sample_cox` is the exception: it draws once on a given intensity path,
 from a seed or a `Generator`.
 
-Continuous sampling happens on a dense uniform `CellGrid` (inverse-CDF
-draws with uniform jitter inside a cell); grid density is a knob and
-convergence is checked by doubling in the tests.  Projection kernels use
-the sequential scheme of Hough, Krishnapur, Peres and Virag (2006); general
-determinantal kernels use the Bernoulli mixture over projections.
+Every continuous sampler runs on one dense uniform `CellGrid` over the
+window (inverse-CDF draws with uniform jitter inside a cell); grid density
+is a knob and convergence is checked by doubling in the tests.  The
+permanental field is drawn at the same cell centers and nowhere outside
+the window: a stationary field's law on the window does not depend on what
+lies beyond it.  `sample_cox` takes its window from the grid.  Projection
+kernels use the sequential scheme of Hough, Krishnapur, Peres and Virag
+(2006); general determinantal kernels use the Bernoulli mixture over
+projections.
 """
 
 import csv
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .gaussian_field import TrajectoryGrid, embedding_spectrum, _embedded_complex_sample
+from .gaussian_field import embedding_spectrum, _embedded_complex_sample
 from .kernels import SpectralKernel
 
 
@@ -50,6 +54,7 @@ class CellGrid:
     """
 
     def __init__(self, window: Window, nodes_per_unit: int):
+        self.window = window
         self.n = max(1024, int(round(nodes_per_unit * window.length)))
         self.cell = window.length / self.n
         self.centers = window.a + (np.arange(self.n) + 0.5) * self.cell
@@ -118,6 +123,14 @@ def _simple_sorted(points: np.ndarray, window: Window, rng, cell: float) -> np.n
     raise RuntimeError("could not break ties in a grid sample")
 
 
+def _draw_cells(cdf, total, k: int, grid: CellGrid, rng) -> PointConfiguration:
+    """k i.i.d. points from the piecewise-constant density with cumulative cell
+    masses `cdf` (summing to `total`): inverse CDF, then jitter inside the cell."""
+    idx = np.minimum(np.searchsorted(cdf, rng.random(k) * total, side="right"), grid.n - 1)
+    pts = grid.centers[idx] + (rng.random(k) - 0.5) * grid.cell
+    return PointConfiguration(_simple_sorted(pts, grid.window, rng, grid.cell), grid.window)
+
+
 # ---------------------------------------------------------------------------
 # Poisson and Cox
 
@@ -143,13 +156,11 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     return out
 
 
-def sample_cox(
-    intensity, grid: TrajectoryGrid, scale: float, w: Window, seed
-) -> PointConfiguration:
-    """Poisson sample conditional on a realized intensity path.
+def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfiguration:
+    """Poisson sample on grid.window conditional on a realized intensity path.
 
     `intensity` is the nonnegative path (e.g. |E+|^2) on the grid cells,
-    interpolated as piecewise constant; the rate is scale * intensity.
+    piecewise constant; the rate is scale * intensity.
     `seed` is a seed or a `Generator`, which is drawn from in place.
     """
     rng = np.random.default_rng(seed)
@@ -160,22 +171,9 @@ def sample_cox(
         raise ValueError("intensity path must live on the grid")
     if np.any(intensity < 0):
         raise ValueError("intensity path must be nonnegative")
-    cell_start = grid.times
-    if w.a < grid.t0 - 1e-9 * grid.dt or w.b > grid.t_end + grid.dt + 1e-9 * grid.dt:
-        raise ValueError("window exceeds the trajectory support")
-    overlap = np.clip(
-        np.minimum(w.b, cell_start + grid.dt) - np.maximum(w.a, cell_start), 0.0, grid.dt
-    )
-    masses = scale * intensity * overlap
+    masses = scale * intensity * grid.cell
     total = masses.sum()
-    if total == 0:
-        return PointConfiguration(np.empty(0), w)
-    n = rng.poisson(total)
-    cum = np.cumsum(masses)
-    idx = np.searchsorted(cum, rng.random(n) * total, side="right")
-    idx = np.minimum(idx, grid.n - 1)
-    pts = np.maximum(w.a, cell_start[idx]) + rng.random(n) * overlap[idx]
-    return PointConfiguration(_simple_sorted(pts, w, rng, grid.dt), w)
+    return _draw_cells(np.cumsum(masses), total, rng.poisson(total), grid, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +186,14 @@ def sample_permanental_batch(
     """Permanental samples with kernel scale * cov.
 
     Each replicate composes a circularly-symmetric complex Gaussian field
-    draw with a Cox draw at rate scale * |E+|^2.
+    draw at the window's cell centers with a Cox draw at rate scale * |E+|^2.
     """
-    # 5 envelope lengths of margin on each side of the observation window
-    margin = 5.0 * cov.params.get("sigma", w.length / 4.0)
-    grid = TrajectoryGrid.for_window(w.a, w.b, margin, nodes_per_unit)
-    d = embedding_spectrum(cov, grid)
+    grid = CellGrid(w, nodes_per_unit)
+    root_d = np.sqrt(embedding_spectrum(cov, grid.n, grid.cell))
     out = []
     for rng in _child_rngs(seed, reps):
-        field = _embedded_complex_sample(d, rng)[: grid.n]
-        out.append(sample_cox(np.abs(field) ** 2, grid, scale, w, rng))
+        field = _embedded_complex_sample(root_d, rng)[: grid.n]
+        out.append(sample_cox(np.abs(field) ** 2, grid, scale, rng))
     return out
 
 
@@ -355,12 +351,7 @@ def sample_fock_pp_batch(
     if total <= 0:
         raise ValueError("|phi_plus|^2 has zero total mass on the window")
     cdf = np.cumsum(masses)
-    out = []
-    for rng in _child_rngs(seed, reps):
-        idx = np.minimum(np.searchsorted(cdf, rng.random(k) * total), grid.n - 1)
-        pts = grid.centers[idx] + (rng.random(k) - 0.5) * grid.cell
-        out.append(PointConfiguration(_simple_sorted(pts, w, rng, grid.cell), w))
-    return out
+    return [_draw_cells(cdf, total, k, grid, rng) for rng in _child_rngs(seed, reps)]
 
 
 # ---------------------------------------------------------------------------

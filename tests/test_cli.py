@@ -146,6 +146,40 @@ class TestPcf:
         assert "not a batch file" in json.loads(capsys.readouterr().err)["error"]
 
 
+class TestUserErrors:
+    """Every user error prints one JSON line on stderr, exits 2 and writes nothing."""
+
+    @pytest.fixture
+    def batches(self, tmp_path):
+        paths = {"batch": tmp_path / "batch.csv", "empty": tmp_path / "empty.csv"}
+        for name, rate in (("batch", "20"), ("empty", "1e-9")):
+            assert run(["sample", "--family", "poisson", "--rate", rate, "--reps", "5",
+                        "--seed", "0", "--out", str(paths[name])]) == 0
+        return paths
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "poisson", "--rate", "5", "--window", "1", "0"],
+        ["sample", "--family", "permanental", "--omega", "100000"],
+        ["sample", "--family", "projection-dpp", "--kernel", "lorentz:sigma=1,omega=3"],
+        ["sample", "--family", "dpp-mixture", "--kernel", "lorentz:sigma=1,omega=3",
+         "--lambdas", "0.5"],
+        ["pcf", "--batch", "{batch}", "--rmax", "2"],
+        ["pcf", "--batch", "{batch}", "--bins", "0"],
+        ["pcf", "--batch", "{batch}", "--theory", "bogus"],
+        ["pcf", "--batch", "{batch}", "--theory", "permanental"],
+        ["pcf", "--batch", "{empty}"],
+    ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
+            "mixture-non-spectral", "rmax-beyond-window", "zero-bins", "unknown-theory",
+            "theory-without-sigma", "all-empty-batch"])
+    def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["ccr", "coherent", "builder"])
     def test_fast_suites_pass(self, suite, tmp_path):

@@ -131,32 +131,21 @@ class TestPoisson:
 
 class TestCox:
     def test_constant_path_reduces_to_poisson(self):
-        from ppoptics.gaussian_field import TrajectoryGrid
-
-        grid = TrajectoryGrid.for_window(0, 1, 0, 1024)
+        grid = CellGrid(Window(0, 1), 1024)
         path = np.full(grid.n, 3.0)
         reps = 4000
         counts = []
         for s in range(reps):
-            c = samplers.sample_cox(path, grid, 10.0, Window(0, 1), s)
+            c = samplers.sample_cox(path, grid, 10.0, s)
             counts.append(len(c))
         counts = np.asarray(counts, dtype=float)
         assert abs(counts.mean() - 30.0) < 3 * np.sqrt(30.0 / reps)
         assert 0.93 < counts.var(ddof=1) / counts.mean() < 1.07
 
     def test_zero_scale_empty(self):
-        from ppoptics.gaussian_field import TrajectoryGrid
-
-        grid = TrajectoryGrid.for_window(0, 1, 0, 1024)
-        c = samplers.sample_cox(np.ones(grid.n), grid, 0.0, Window(0, 1), 0)
+        grid = CellGrid(Window(0, 1), 1024)
+        c = samplers.sample_cox(np.ones(grid.n), grid, 0.0, 0)
         assert len(c) == 0
-
-    def test_window_outside_support(self):
-        from ppoptics.gaussian_field import TrajectoryGrid
-
-        grid = TrajectoryGrid(0.0, 1 / 1024, 1024)
-        with pytest.raises(ValueError, match="support"):
-            samplers.sample_cox(np.ones(grid.n), grid, 1.0, Window(0, 2), 0)
 
 
 class TestPermanental:
@@ -175,6 +164,17 @@ class TestPermanental:
         counts = batch_counts(batch)
         fano = counts.var(ddof=1) / counts.mean()
         assert fano > 1.5  # Cox bunching; theory ~6 here
+
+    @pytest.mark.parametrize("length", [0.25, 0.3])
+    def test_short_window_intensity(self, length):
+        # the field covers the window only: on [0, 0.25] the first circulant
+        # (m = 2n) is too negative and the embedding has to double
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        scale, reps = 25.0, 2000
+        batch = samplers.sample_permanental_batch(cov, scale, Window(0, length), reps, seed=7)
+        counts = batch_counts(batch)
+        stderr = counts.std(ddof=1) / np.sqrt(reps)
+        assert abs(counts.mean() - scale * cov.at_zero * length) < 3 * stderr
 
 
 class TestProjectionDpp:
