@@ -152,6 +152,8 @@ def cmd_pcf(args) -> int:
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
         batch, meta = samplers.load_batch_csv(batch_path)
+        if not batch:
+            raise ValueError(f"batch file {batch_path} has no replicates")
         rmax = args.rmax if args.rmax is not None else batch[0].window.length / 4.0
         est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
         g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None

@@ -29,6 +29,11 @@ from .gaussian_field import embedding_spectrum, _embedded_complex_sample
 from .kernels import SpectralKernel
 
 
+# largest expected point count per Poisson replicate, rate_max * window length;
+# each replicate holds a few float arrays of about this length
+_POISSON_MAX_MEAN = 1e7
+
+
 class RankLossError(RuntimeError):
     """The sequential projection sampler ran out of diagonal mass."""
 
@@ -139,6 +144,11 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process."""
     if rate_max <= 0:
         raise ValueError(f"rate_max must be positive, got {rate_max}")
+    if not rate_max * w.length <= _POISSON_MAX_MEAN:
+        raise ValueError(
+            f"rate_max * window length = {rate_max * w.length:g} expected points per "
+            f"replicate, above the limit of {_POISSON_MAX_MEAN:g}"
+        )
     out = []
     for rng in _child_rngs(seed, reps):
         n = rng.poisson(rate_max * w.length)
@@ -383,8 +393,17 @@ def load_batch_csv(path):
             raise ValueError(f"{path} is not a batch file")
         meta = json.loads(first[len(_BATCH_MAGIC):])
         rows = list(csv.reader(fh))
-    w = Window(*meta["window"])
-    points = [[] for _ in range(meta["n_replicates"])]
+    try:
+        w = Window(*meta["window"])
+        n = meta["n_replicates"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed batch header: {exc!r}") from exc
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{path}: n_replicates must be a nonnegative integer, got {n!r}")
+    points = [[] for _ in range(n)]
     for row in rows[1:]:
-        points[int(row[0])].append(float(row[1]))
+        k = int(row[0])
+        if not 0 <= k < n:
+            raise ValueError(f"{path}: replicate id {k} outside [0, {n})")
+        points[k].append(float(row[1]))
     return [PointConfiguration(np.array(p), w) for p in points], meta

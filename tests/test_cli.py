@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ppoptics import cli, fock
+from ppoptics import cli, fock, samplers
 from ppoptics.samplers import load_batch_csv
 
 
@@ -155,6 +155,18 @@ class TestUserErrors:
         for name, rate in (("batch", "20"), ("empty", "1e-9")):
             assert run(["sample", "--family", "poisson", "--rate", rate, "--reps", "5",
                         "--seed", "0", "--out", str(paths[name])]) == 0
+        # hand-written malformed batch files
+        window = [0.0, 1.0]
+        rows = {"no_replicates": ({"n_replicates": 0, "window": window}, []),
+                "id_too_large": ({"n_replicates": 2, "window": window}, ["0,0.25", "2,0.5"]),
+                "id_negative": ({"n_replicates": 2, "window": window}, ["0,0.25", "-1,0.5"]),
+                "no_window": ({"n_replicates": 1}, ["0,0.25"]),
+                "count_not_int": ({"n_replicates": "2", "window": window}, ["0,0.25"])}
+        for name, (meta, lines) in rows.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            header = json.dumps(meta)
+            paths[name].write_text("\n".join(
+                [f"# ppoptics-batch {header}", "replicate_id,t", *lines]) + "\n")
         return paths
 
     @pytest.mark.parametrize("argv", [
@@ -168,14 +180,34 @@ class TestUserErrors:
         ["pcf", "--batch", "{batch}", "--theory", "bogus"],
         ["pcf", "--batch", "{batch}", "--theory", "permanental"],
         ["pcf", "--batch", "{empty}"],
+        ["pcf", "--batch", "{no_replicates}"],
+        ["pcf", "--batch", "{id_too_large}"],
+        ["pcf", "--batch", "{id_negative}"],
+        ["pcf", "--batch", "{no_window}"],
+        ["pcf", "--batch", "{count_not_int}"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "rmax-beyond-window", "zero-bins", "unknown-theory",
-            "theory-without-sigma", "all-empty-batch"])
+            "theory-without-sigma", "all-empty-batch", "zero-replicates",
+            "replicate-id-too-large", "replicate-id-negative", "header-without-window",
+            "replicate-count-not-int"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
         capsys.readouterr()
         assert run(argv) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_poisson_mean_too_large(self, tmp_path, capsys, monkeypatch):
+        # 5e9 expected points would need tens of GiB: refused before any draw
+        def no_draw(seed, reps):
+            raise AssertionError("drew before checking the mean count")
+
+        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(["sample", "--family", "poisson", "--rate", "5", "--window", "0", "1e9",
+                    "--out", str(out)]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
         assert not out.exists()
 

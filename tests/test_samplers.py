@@ -122,6 +122,19 @@ class TestPoisson:
         with pytest.raises(ValueError, match="exceeds rate_max"):
             samplers.sample_poisson_batch(lambda t: np.full_like(t, 3.0), 2.0, Window(0, 1), 1, 0)
 
+    def test_mean_count_cap_refused_before_drawing(self, monkeypatch):
+        # 5e9 expected points would need tens of GiB; nothing may be drawn
+        def no_draw(seed, reps):
+            raise AssertionError("drew before checking the mean count")
+
+        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        rate = lambda t: np.full_like(t, 5.0)
+        with pytest.raises(ValueError, match="expected points"):
+            samplers.sample_poisson_batch(rate, 5.0, Window(0, 1e9), 1, 0)
+        at_cap = samplers._POISSON_MAX_MEAN * (1 + 1e-9)
+        with pytest.raises(ValueError, match="expected points"):
+            samplers.sample_poisson_batch(rate, at_cap, Window(0, 1), 1, 0)
+
     def test_determinism(self):
         rate = lambda t: np.full_like(t, 20.0)
         a = samplers.sample_poisson_batch(rate, 20.0, Window(0, 1), 3, 7)

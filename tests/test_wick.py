@@ -38,6 +38,37 @@ def permutation_sum_permanent(m):
     return total
 
 
+def permutation_sum_alpha_determinant(m, alpha):
+    """Independent oracle: direct sum over permutations with cycle counts."""
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    total = 0j
+    for sigma in itertools.permutations(range(n)):
+        seen, cycles = set(), 0
+        for start in range(n):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = sigma[j]
+        total += alpha ** (n - cycles) * math.prod(m[i, sigma[i]] for i in range(n))
+    return total
+
+
+def unit_upper_triangular(rng, n):
+    """Permanent exactly 1; Ryser's formula cancels badly on these."""
+    return np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) + np.eye(n)
+
+
+def derangements(n):
+    """!n by the recurrence !n = (n - 1) (!(n - 1) + !(n - 2))."""
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[n]
+
+
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -92,6 +123,37 @@ class TestPermanent:
         with pytest.raises(ValueError, match="dim"):
             wick.permanent(np.eye(31))
 
+    def test_cap_is_24(self):
+        with pytest.raises(ValueError, match="dim"):
+            wick.permanent(np.eye(25))
+        rng = np.random.default_rng(24)
+        assert abs(wick.permanent(unit_upper_triangular(rng, 24)) - 1) <= 1e-11
+
+    def test_empty_is_one(self):
+        assert wick.permanent(np.zeros((0, 0))) == 1
+
+    def test_unit_upper_triangular_16_no_cancellation(self):
+        # Ryser's formula is off by 1.35e-9 on this matrix
+        m = unit_upper_triangular(np.random.default_rng(3276583006), 16)
+        assert abs(wick.permanent(m) - 1) <= 1e-11
+
+    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+    def test_unit_upper_triangular_sweep(self, n):
+        for seed in range(50):
+            m = unit_upper_triangular(np.random.default_rng(seed), n)
+            assert abs(wick.permanent(m) - 1) <= 1e-11, seed
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ones_minus_identity_is_derangements(self, n):
+        got = wick.permanent(np.ones((n, n)) - np.eye(n))
+        assert abs(got - derangements(n)) <= 1e-12 * max(1, derangements(n))
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 17])
+    def test_diagonal_is_product(self, n):
+        d = np.random.default_rng(n).uniform(0.5, 1.5, n) * np.exp(1j * np.arange(n))
+        want = np.prod(d)
+        assert abs(wick.permanent(np.diag(d)) - want) <= 1e-12 * abs(want)
+
 
 class TestAlphaDeterminant:
     def test_alpha_minus_one_is_determinant(self):
@@ -110,7 +172,7 @@ class TestAlphaDeterminant:
         m = random_complex(rng, 5)
         assert wick.alpha_determinant(m, 0.0) == pytest.approx(np.prod(np.diag(m)), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_coincidences_random(self, n):
         rng = np.random.default_rng(n + 10)
         m = random_complex(rng, n)
@@ -121,6 +183,24 @@ class TestAlphaDeterminant:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dim"):
             wick.alpha_determinant(np.eye(11), 0.5)
+
+    def test_empty_is_one(self):
+        assert wick.alpha_determinant(np.zeros((0, 0)), 0.5) == 1
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.3, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_against_permutation_oracle(self, n, alpha):
+        m = random_complex(np.random.default_rng(100 + n), n)
+        want = permutation_sum_alpha_determinant(m, alpha)
+        got = wick.alpha_determinant(m, alpha)
+        assert abs(got - want) <= 1e-12 * max(1, abs(want))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_plus_one_is_permanent_across_seeds(self, n):
+        for seed in range(10):
+            m = random_complex(np.random.default_rng([n, seed]), n)
+            per = wick.permanent(m)
+            assert abs(wick.alpha_determinant(m, 1.0) - per) <= 1e-12 * max(1, abs(per)), seed
 
 
 def exhaustive_contractions(n):
