@@ -1,17 +1,21 @@
 """Exact truncated Fock-space oracle.
 
-Dense ladder operators on a multi-mode occupation basis, Gaussian
+Ladder operators on a multi-mode occupation basis, Gaussian
 (grand-canonical) density matrices, coherent states, and correlators by
-explicit trace.  This module exists to be obviously correct: everything
-is a dense complex matrix in lexicographic occupation order, and the
-combinatorial machinery elsewhere is verified against it.
+explicit trace.  This module exists to be obviously correct: every
+multi-mode operator and state is a complex sparse (CSR) matrix in
+lexicographic occupation order, built entry by entry from the occupation
+table, and the combinatorial machinery elsewhere is verified against it.
+A ladder operator has at most one entry per row and column, so a product
+chain never holds more entries than the state it starts from.  The
+single-mode coherent-state helpers stay dense.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
@@ -53,17 +57,14 @@ class ModeSpec:
 @dataclass(frozen=True, eq=False)
 class FockOperator:
     spec: ModeSpec
-    matrix: np.ndarray
+    matrix: sparse.csr_array
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = sparse.csr_array(self.matrix, dtype=complex)
         d = self.spec.dimension
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {d}")
         object.__setattr__(self, "matrix", m)
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.spec, self.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +72,16 @@ class DensityMatrix(FockOperator):
     def __post_init__(self):
         super().__post_init__()
         m = self.matrix
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        if abs(m - m.conj().T).max() > 1e-12:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValueError(f"density matrix must have unit trace, got {np.trace(m)}")
-        off_diagonal = m - np.diag(np.diag(m))
-        diagonal = np.abs(off_diagonal).max() == 0.0
+        if abs(m.trace() - 1.0) > 1e-12:
+            raise ValueError(f"density matrix must have unit trace, got {m.trace()}")
+        diagonal = (m - sparse.diags_array(m.diagonal())).count_nonzero() == 0
         object.__setattr__(self, "is_diagonal", diagonal)
         if diagonal:
-            low = np.real(np.diag(m)).min()
+            low = np.real(m.diagonal()).min()
         else:
-            low = np.linalg.eigvalsh(m).min()
+            low = np.linalg.eigvalsh(m.toarray()).min()
         if low < -1e-12:
             raise ValueError(f"density matrix has negative eigenvalue {low}")
 
@@ -94,30 +94,34 @@ def _single_mode_lowering(cutoff: int) -> np.ndarray:
 def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
     """Creation or annihilation operator for one mode.
 
-    Bosons carry the sqrt(n) matrix elements with truncation at the
-    cutoff; fermions carry 0/1 elements with the Jordan-Wigner string
-    sign (-1)^(sum of occupations of earlier modes).
+    a_i|..n_i..> = sqrt(n_i) (-1)^(n_0 + ... + n_(i-1)) |..n_i - 1..>, where
+    the Jordan-Wigner sign applies to fermions only; creation is the
+    transpose, so bosons truncate at the cutoff and fermions block at 1.
     """
     if not 0 <= mode < spec.n_modes:
         raise ValueError(f"mode {mode} out of range for {spec.n_modes} modes")
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    local = _single_mode_lowering(spec.cutoff)
-    eye = np.eye(spec.cutoff + 1, dtype=complex)
+    occ = spec.occupations()
+    n = occ[:, mode]
+    occupied = np.flatnonzero(n)  # basis states a_i does not annihilate
+    lowered = occupied - (spec.cutoff + 1) ** (spec.n_modes - mode - 1)
+    values = np.sqrt(n[occupied]).astype(complex)
     if spec.eta == -1:
-        sign = np.diag([1.0, -1.0]).astype(complex)
-        factors = [sign] * mode + [local] + [eye] * (spec.n_modes - mode - 1)
-    else:
-        factors = [eye] * mode + [local] + [eye] * (spec.n_modes - mode - 1)
-    matrix = reduce(np.kron, factors)
-    if kind == "create":
-        matrix = matrix.conj().T
+        values[occ[occupied, :mode].sum(axis=1) % 2 == 1] *= -1
+    # a_i sits at (lowered, occupied) and a_i^dag at (occupied, lowered); either
+    # way the rows ascend with at most one entry each, so the row pointers are
+    # a searchsorted
+    rows, cols = (lowered, occupied) if kind == "annihilate" else (occupied, lowered)
+    indptr = np.searchsorted(rows, np.arange(spec.dimension + 1))
+    matrix = sparse.csr_array((values, cols, indptr), shape=(spec.dimension,) * 2)
     return FockOperator(spec, matrix)
 
 
 def number_operator(spec: ModeSpec) -> FockOperator:
     """N = sum_i a_i^dag a_i, diagonal in the occupation basis."""
-    return FockOperator(spec, np.diag(spec.occupations().sum(axis=1)).astype(complex))
+    total = spec.occupations().sum(axis=1)
+    return FockOperator(spec, sparse.diags_array(total, dtype=complex))
 
 
 def check_commutation(spec: ModeSpec) -> dict:
@@ -129,30 +133,29 @@ def check_commutation(spec: ModeSpec) -> dict:
     occupation below the cutoff; the deviation on the top-cutoff layer
     is truncation-induced and reported separately.
     """
-    d = spec.dimension
     ann = [ladder(spec, i, "annihilate").matrix for i in range(spec.n_modes)]
-    eye = np.eye(d)
+    cre = [ladder(spec, i, "create").matrix for i in range(spec.n_modes)]
+    eye = sparse.diags_array(np.ones(spec.dimension), format="csr")
     max_pair = 0.0
     max_same = 0.0  # {a,a} or [a,a]
     max_top = 0.0
     if spec.eta == 1:
         bulk = np.all(spec.occupations() < spec.cutoff, axis=1)
     for i, a_i in enumerate(ann):
-        for j, a_j in enumerate(ann):
-            adj = a_j.conj().T
+        for j, (a_j, adj) in enumerate(zip(ann, cre)):
             if spec.eta == -1:
                 pair_dev = a_i @ adj + adj @ a_i - (i == j) * eye
                 same_dev = a_i @ a_j + a_j @ a_i
-                max_pair = max(max_pair, np.abs(pair_dev).max())
-                max_same = max(max_same, np.abs(same_dev).max())
+                max_pair = max(max_pair, abs(pair_dev).max())
+                max_same = max(max_same, abs(same_dev).max())
             else:
                 comm = a_i @ adj - adj @ a_i - (i == j) * eye
-                max_pair = max(max_pair, np.abs(comm[np.ix_(bulk, bulk)]).max())
+                max_pair = max(max_pair, abs(comm[np.ix_(bulk, bulk)]).max())
                 top = ~bulk
                 if top.any():
-                    max_top = max(max_top, np.abs(comm[np.ix_(top, top)]).max())
+                    max_top = max(max_top, abs(comm[np.ix_(top, top)]).max())
                 same_dev = a_i @ a_j - a_j @ a_i
-                max_same = max(max_same, np.abs(same_dev).max())
+                max_same = max(max_same, abs(same_dev).max())
     report = {"eta": spec.eta, "max_pair_dev": max_pair, "max_same_kind_dev": max_same}
     if spec.eta == 1:
         report["max_top_layer_dev"] = max_top
@@ -182,7 +185,7 @@ def gaussian_density_matrix(spec: ModeSpec, nu, beta: float, zeta: float) -> Den
     z = weights.sum()
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"non-finite partition function (Z = {z})")
-    return DensityMatrix(spec, np.diag(weights / z).astype(complex))
+    return DensityMatrix(spec, sparse.diags_array(weights / z))
 
 
 def log_partition(spec: ModeSpec, nu, beta: float, zeta: float) -> float:
@@ -193,24 +196,16 @@ def log_partition(spec: ModeSpec, nu, beta: float, zeta: float) -> float:
 
 
 def expectation(rho: DensityMatrix, ops) -> complex:
-    """<prod ops> = tr(rho op_1 ... op_k) by dense multiplication."""
-    mats = [op.matrix for op in ops]
-    d = rho.matrix.shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("operator dimensions do not match the state")
-    if not mats:
-        return complex(np.trace(rho.matrix))
-    if rho.is_diagonal:
-        w = np.real(np.diag(rho.matrix))
-        if len(mats) == 1:
-            return complex(np.sum(w * np.diag(mats[0])))
-        if len(mats) == 2:
-            return complex(np.einsum("i,ij,ji->", w, mats[0], mats[1]))
-        prod = reduce(np.matmul, mats[1:])
-        return complex(np.einsum("i,ij,ji->", w, mats[0], prod))
-    prod = reduce(np.matmul, mats)
-    return complex(np.einsum("ij,ji->", rho.matrix, prod))
+    """<prod ops> = tr(rho op_1 ... op_k) by a chain of sparse products."""
+    product = rho.matrix
+    for op in ops:
+        if op.spec != rho.spec:
+            raise ValueError(
+                f"operator space {op.spec} (dimension {op.spec.dimension}) does not "
+                f"match the state space {rho.spec} (dimension {rho.spec.dimension})"
+            )
+        product = product @ op.matrix
+    return complex(product.trace())
 
 
 def mean_occupation(rho: DensityMatrix, spec: ModeSpec, mode: int) -> float:

@@ -1,6 +1,8 @@
 """The exact Fock-space oracle: ladder actions, commutation relations,
 occupation laws, coherent states, and Wick verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import poisson as poisson_dist
@@ -28,6 +30,7 @@ class TestModeSpec:
             ModeSpec(2, 3, -1)
 
     def test_dimension_cap(self):
+        assert ModeSpec(14, 1, -1).dimension == fock.MAX_DIMENSION
         with pytest.raises(ValueError, match="dimension"):
             ModeSpec(15, 1, -1)
 
@@ -198,6 +201,14 @@ class TestExpectation:
         with pytest.raises(ValueError, match="dimension"):
             fock.expectation(rho, [fock.ladder(s2, 0, "create")])
 
+    def test_space_mismatch_at_equal_dimension(self):
+        # one boson mode at cutoff 3 and two fermion modes both have dimension 4
+        s1, s2 = ModeSpec(1, 3, 1), ModeSpec(2, 1, -1)
+        rho = fock.gaussian_density_matrix(s1, np.array([1.0]), 1.0, 0.0)
+        ops = [fock.ladder(s2, 0, "create"), fock.ladder(s2, 0, "annihilate")]
+        with pytest.raises(ValueError, match="dimension"):
+            fock.expectation(rho, ops)
+
 
 class TestCoherentState:
     def test_alpha_zero_is_vacuum(self):
@@ -289,6 +300,26 @@ class TestWickVerify:
             spec, nu, beta, zeta, ops = random_gaussian_case(rng)
             check = fock.wick_verify(spec, nu, beta, zeta, ops)
             assert check.deviation <= 1e-9 * (1.0 + abs(check.exact))
+
+    def test_max_dimension_stays_sparse(self):
+        # d = 2^14: one dense d x d complex operator would take 4 GiB
+        spec = ModeSpec(14, 1, -1)
+        nu = np.linspace(-1.5, 1.5, 14)
+        seq = [
+            ("annihilate", 13), ("create", 0), ("create", 13),
+            ("annihilate", 7), ("create", 7), ("annihilate", 0),
+        ]
+        tracemalloc.start()
+        try:
+            check = fock.wick_verify(spec, nu, 1.3, 0.2, seq)
+            total = fock.number_operator(spec).matrix.trace()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert total == 14 * 2**13
+        assert abs(check.exact) > 1e-3
+        assert check.deviation <= 1e-9 * (1.0 + abs(check.exact))
 
     def test_report_serializes(self):
         spec = ModeSpec(1, 1, -1)
