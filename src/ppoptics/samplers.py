@@ -2,20 +2,28 @@
 i.i.d. point processes on an interval, plus batch CSV I/O.
 
 The sampler API is batch-only: each family has one `sample_*_batch`
-function, and a single draw is `reps=1`.  Replicates use independently
-spawned child seeds, so every batch is deterministic given its seed.
-`sample_cox` is the exception: it draws once on a given intensity path,
-from a seed or a `Generator`.
+function, and a single draw is `reps=1`.  Every batch is deterministic
+given its seed: Poisson, permanental and fixed-count replicates each use
+an independently spawned child seed, and the determinantal samplers one
+per block of replicates.  `sample_cox` is the exception: it draws once on
+a given intensity path, from a seed or a `Generator`.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell); grid density
 is a knob and convergence is checked by doubling in the tests.  The
 permanental field is drawn at the same cell centers and nowhere outside
 the window: a stationary field's law on the window does not depend on what
-lies beyond it.  `sample_cox` takes its window from the grid.  Projection
-kernels use the sequential scheme of Hough, Krishnapur, Peres and Virag
-(2006); general determinantal kernels use the Bernoulli mixture over
-projections.
+lies beyond it.  `sample_cox` takes its window from the grid.
+
+Projection kernels and general determinantal kernels (the Bernoulli
+mixture over projections, Lavancier, Moller and Rubak 2015) share one
+sampler: the sequential chain of Hough, Krishnapur, Peres and Virag (2006),
+run for a block of replicates in lockstep.  A projection keeps every basis
+function and a mixture replicate keeps function i with probability
+lambda_i.  All replicates propose from one density, the full-basis diagonal,
+through one CDF, and accept by exact rejection against their own residual
+diagonal.  Each block draws its keep masks, proposals and jitter from its
+own child generator; a private byte budget sets the block size.
 """
 
 import csv
@@ -128,10 +136,16 @@ def _simple_sorted(points: np.ndarray, window: Window, rng, cell: float) -> np.n
     raise RuntimeError("could not break ties in a grid sample")
 
 
+def _inverse_cdf(cdf, total, u):
+    """Cells at uniforms `u` for cumulative cell masses `cdf` summing to `total`;
+    `side="right"` never picks a zero-mass cell at an exact tie."""
+    return np.minimum(np.searchsorted(cdf, u * total, side="right"), cdf.size - 1)
+
+
 def _draw_cells(cdf, total, k: int, grid: CellGrid, rng) -> PointConfiguration:
     """k i.i.d. points from the piecewise-constant density with cumulative cell
     masses `cdf` (summing to `total`): inverse CDF, then jitter inside the cell."""
-    idx = np.minimum(np.searchsorted(cdf, rng.random(k) * total, side="right"), grid.n - 1)
+    idx = _inverse_cdf(cdf, total, rng.random(k))
     pts = grid.centers[idx] + (rng.random(k) - 0.5) * grid.cell
     return PointConfiguration(_simple_sorted(pts, grid.window, rng, grid.cell), grid.window)
 
@@ -208,85 +222,134 @@ def sample_permanental_batch(
 
 
 # ---------------------------------------------------------------------------
-# Determinantal (sequential conditional scheme for projection kernels)
+# Determinantal (one sequential chain for projections and their Bernoulli mixtures)
 
 
-class _ProjectionSampler:
-    """Sequential sampler for a rank-N projection kernel on a cell grid
-    (Hough, Krishnapur, Peres and Virag 2006).
+# the chain's direction array and per-round gathers stay within about this many
+# bytes per block of replicates
+_CHAIN_BLOCK_BYTES = 16 * 2**20
+# proposals a replicate may use for one point before it counts as stuck
+_MAX_TRIES = 2000
 
-    `features[k, i]` is the k-th orthonormal basis function at cell i, and
-    `diag` is the kernel diagonal K(x, x) on the cells.  The chain-rule
-    conditional density after j accepted points is
-    (K(x,x) - sum_i |<e_i, phi(x)>|^2) / (N - j), with e_i the
-    orthonormalized feature directions of the accepted points.  Each
-    conditional draw is realized by exact rejection from the fixed
-    proposal K(x,x)/N, which the Bessel inequality dominates pointwise.
+
+def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
+    """DPP samples by the sequential chain of Hough, Krishnapur, Peres and
+    Virag (2006), run for a block of replicates in lockstep.
+
+    `features[i, k]` is the k-th orthonormal basis function at cell i and
+    `diag` is sum_k |features[i, k]|^2.  Each replicate keeps column k with
+    probability lam[k] (all of them for a projection, lam = 1) and samples
+    the projection onto its kept columns.  After j accepted points its
+    conditional density is (K_r(x,x) - sum_i |<e_i, phi_r(x)>|^2) / (k_r - j),
+    with phi_r the kept features and e_i the orthonormalized directions of its
+    accepted points.  Every replicate proposes from the one fixed density
+    diag / sum(diag), which dominates K_r(x,x) pointwise, and accepts by exact
+    rejection; a step keeps each replicate's first accepted proposal.
+
+    Replicates run in blocks sized by `_CHAIN_BLOCK_BYTES`; block b draws its
+    keep masks, proposals and jitter from child b of the seed.
     """
+    rank = features.shape[1]
+    cdf = np.cumsum(diag)
+    trace = cdf[-1] * grid.cell
+    # per replicate: the directions, their gathered copy and three (proposals, rank)
+    # round arrays, with at most about `trace` <= rank proposals per round
+    block = max(1, _CHAIN_BLOCK_BYTES // (5 * rank * rank * features.itemsize))
+    starts = range(0, reps, block)
+    out = []
+    for start, rng in zip(starts, _child_rngs(seed, len(starts))):
+        size = min(block, reps - start)
+        keep = rng.random((size, rank)) < lam
+        k = keep.sum(axis=1)
+        # conj_dirs[r, :, j] is the conjugate of replicate r's j-th direction
+        conj_dirs = np.zeros((size, rank, rank), dtype=features.dtype)
+        cells = np.zeros((size, rank), dtype=int)
+        for j in range(k.max(initial=0)):
+            todo = np.flatnonzero(k > j)
+            tries = 0
+            while todo.size:
+                if tries >= _MAX_TRIES:
+                    raise _stuck_error(features, keep[todo], conj_dirs[todo, :, :j], grid)
+                # a replicate accepts a proposal with probability about (k_r - j) / trace:
+                # one expected acceptance per replicate and round
+                b = min(int(np.ceil(trace / np.mean(k[todo] - j))), _MAX_TRIES - tries)
+                tries += b
+                u, v = rng.random((2, todo.size, b))
+                idx = _inverse_cdf(cdf, cdf[-1], u)
+                phi = features[idx]  # (todo, b, rank)
+                proj = phi @ conj_dirs[todo, :, :j]
+                # the directions live on the kept columns: only the norm needs the mask
+                norm2 = np.einsum("tbk,tk->tb", (phi * phi.conj()).real, keep[todo])
+                resid = norm2 - np.einsum("tbj,tbj->tb", proj, proj.conj()).real
+                q = diag[idx]
+                ok = (v * q <= resid) & (q > 0)
+                hit = ok.any(axis=1)
+                first = ok.argmax(axis=1)[hit]
+                rows = todo[hit]
+                conj_dirs[rows, :, j] = _orthonormal(
+                    phi[hit, first] * keep[rows], proj[hit, first], norm2[hit, first],
+                    conj_dirs[rows, :, :j],
+                ).conj()
+                cells[rows, j] = idx[hit, first]
+                todo = todo[~hit]
+        pts = grid.centers[cells] + (rng.random(cells.shape) - 0.5) * grid.cell
+        unused = np.arange(rank) >= k[:, None]
+        pts[unused] = np.inf
+        pts.sort(axis=1)
+        tied = ((pts[:, 1:] <= pts[:, :-1]) & ~unused[:, 1:]).any(axis=1)
+        for r in range(size):
+            row = pts[r, : k[r]]
+            if tied[r]:
+                row = _simple_sorted(row, grid.window, rng, grid.cell)
+            out.append(PointConfiguration(row, grid.window))
+    return out
 
-    MAX_TRIES = 2000
 
-    def __init__(self, features: np.ndarray, diag: np.ndarray, grid: CellGrid):
-        self.features = features
-        self.diag = diag
-        self.grid = grid
-        self.cdf = np.cumsum(diag)
-        self.total = self.cdf[-1]
+def _orthonormal(phi, coef, phi_norm2, conj_prev):
+    """phi (rows, rank) orthonormalized against the directions whose conjugates
+    are the columns of `conj_prev`; `coef` holds the projections <e_i, phi>."""
+    e = phi - np.einsum("hkj,hj->hk", conj_prev, coef.conj()).conj()
+    norm2 = np.einsum("hk,hk->h", e, e.conj()).real
+    redo = norm2 < 1e-12 * phi_norm2
+    if redo.any():
+        # re-orthogonalize: one extra Gram-Schmidt pass
+        again = conj_prev[redo]
+        e2 = e[redo]
+        e2 -= np.einsum("hkj,hj->hk", again, np.einsum("hkj,hk->hj", again, e2).conj()).conj()
+        e[redo] = e2
+        norm2[redo] = np.einsum("hk,hk->h", e2, e2.conj()).real
+    return e / np.sqrt(norm2)[:, None]
 
-    def sample(self, rng) -> np.ndarray:
-        n = self.features.shape[0]
-        directions = np.zeros((n, n), dtype=complex)
-        points = np.empty(n)
-        for j in range(n):
-            idx = self._accept_index(rng, directions[:j])
-            phi = self.features[:, idx]
-            coef = directions[:j].conj() @ phi
-            e = phi - coef @ directions[:j]
-            norm = np.linalg.norm(e)
-            if norm < 1e-6 * np.linalg.norm(phi):
-                # re-orthogonalize: one extra Gram-Schmidt pass
-                coef2 = directions[:j].conj() @ e
-                e = e - coef2 @ directions[:j]
-                norm = np.linalg.norm(e)
-            directions[j] = e / norm
-            points[j] = self.grid.centers[idx] + (rng.random() - 0.5) * self.grid.cell
-        return points
 
-    def _accept_index(self, rng, accepted) -> int:
-        for _ in range(self.MAX_TRIES):
-            u, v = rng.random(2)
-            idx = min(np.searchsorted(self.cdf, u * self.total), self.grid.n - 1)
-            q = self.diag[idx]
-            if q <= 0:
-                continue
-            proj = accepted.conj() @ self.features[:, idx]
-            resid = q - np.sum(np.abs(proj) ** 2)
-            if v * q <= resid:
-                return idx
-        mass = self._residual_mass(accepted)
-        if mass < TOL.rank_loss * self.features.shape[0]:
-            raise RankLossError(
-                f"projected diagonal mass {mass:.3e} after {accepted.shape[0]} points"
-            )
-        raise RuntimeError(
-            f"rejection loop stalled with residual mass {mass:.3e}; "
-            "the grid may be too coarse for this kernel"
-        )
-
-    def _residual_mass(self, accepted) -> float:
-        proj = np.abs(accepted.conj() @ self.features) ** 2
-        return float((self.diag - proj.sum(axis=0)).sum() * self.grid.cell)
+def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
+    """The error for replicates that used `_MAX_TRIES` proposals on one point:
+    `RankLossError` when one's residual diagonal mass is below TOL.rank_loss
+    times its rank, else the stalled `RuntimeError`."""
+    gram = features.conj().T @ features
+    captured = np.einsum("tkj,tkj->t", conj_dirs.conj(), gram @ conj_dirs).real
+    mass = (keep @ gram.diagonal().real - captured) * grid.cell
+    worst = np.argmin(mass / keep.sum(axis=1))
+    j = conj_dirs.shape[2]
+    if mass[worst] < TOL.rank_loss * keep[worst].sum():
+        return RankLossError(f"projected diagonal mass {mass[worst]:.3e} after {j} points")
+    return RuntimeError(
+        f"rejection loop stalled with residual mass {mass[worst]:.3e} after {j} points; "
+        "the grid may be too coarse for this kernel"
+    )
 
 
 def _projection_features(basis, w: Window, grid: CellGrid):
-    """Feature matrix and diagonal of the projection onto `basis` on the cells.
+    """Features (cells, rank) and diagonal of the projection onto `basis` on the cells.
 
     The trace on the window must match the rank to within 5%.
     """
     rank = len(basis)
     sub = SpectralKernel(np.ones(rank), tuple(basis), -1, (w.a, w.b))
-    features = sub.feature_matrix(grid.centers)
-    diag = np.real(np.einsum("ki,ki->i", features, features.conj()))
+    features = sub.feature_matrix(grid.centers).T
+    if not features.imag.any():
+        features = features.real  # a real basis: real arithmetic in the chain
+    features = np.ascontiguousarray(features)
+    diag = np.einsum("ik,ik->i", features, features.conj()).real
     trace = diag.sum() * grid.cell
     if abs(trace - rank) > 0.05 * rank:
         raise ValueError(
@@ -310,12 +373,7 @@ def sample_projection_dpp_batch(
     features, diag = _projection_features(
         [f for f, u in zip(kernel.basis, unit) if u], w, grid
     )
-    sampler = _ProjectionSampler(features, diag, grid)
-    out = []
-    for rng in _child_rngs(seed, reps):
-        pts = _simple_sorted(sampler.sample(rng), w, rng, grid.cell)
-        out.append(PointConfiguration(pts, w))
-    return out
+    return _hkpv_chain(features, diag, np.ones(features.shape[1]), grid, reps, seed)
 
 
 def sample_dpp_mixture_batch(
@@ -332,17 +390,8 @@ def sample_dpp_mixture_batch(
     if not report:
         raise ValueError(f"kernel fails the validity check: {report.violations}")
     grid = CellGrid(w, nodes_per_unit)
-    # features of the full basis once; per-replicate subsets are row selections
-    features, _ = _projection_features(kernel.basis, w, grid)
-    abs2 = np.abs(features) ** 2
-    lam = kernel.eigenvalues
-    out = []
-    for rng in _child_rngs(seed, reps):
-        keep = rng.random(lam.size) < lam
-        sampler = _ProjectionSampler(features[keep], abs2[keep].sum(axis=0), grid)
-        pts = _simple_sorted(sampler.sample(rng), w, rng, grid.cell)
-        out.append(PointConfiguration(pts, w))
-    return out
+    features, diag = _projection_features(kernel.basis, w, grid)
+    return _hkpv_chain(features, diag, kernel.eigenvalues, grid, reps, seed)
 
 
 # ---------------------------------------------------------------------------

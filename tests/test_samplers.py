@@ -2,6 +2,7 @@
 cardinality, and serialization."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,38 @@ class TestProjectionDpp:
         with pytest.raises(ValueError, match="projection"):
             samplers.sample_projection_dpp_batch(bad, Window(*kern.window), 1, 0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pair_law_hermite_2(self, seed):
+        # GUE(2): the gap u = x1 - x2 has density ~ u^2 exp(-u^2 / 2), so
+        # E[u^2] = 3 (Var u^2 = 6); independent draws from the same one-point
+        # density K(x, x) / 2 (E[x^2] = 1) would give E[u^2] = 2
+        kern = kernels.hermite_projection_kernel(2)
+        reps = 4000
+        batch = samplers.sample_projection_dpp_batch(
+            kern, Window(*kern.window), reps, seed, nodes_per_unit=1024
+        )
+        gap2 = np.array([np.diff(c.points)[0] ** 2 for c in batch])
+        se = gap2.std(ddof=1) / np.sqrt(reps)
+        assert abs(gap2.mean() - 3.0) < 4 * se
+
+    def test_memory_does_not_grow_with_reps(self):
+        # the chain runs in blocks, so peak memory stays below what one (reps, rank,
+        # rank) complex direction array for the whole batch would take
+        kern = kernels.hermite_projection_kernel(40)
+        w = Window(*kern.window)
+        peaks = {}
+        for reps in (250, 2000):
+            tracemalloc.start()
+            try:
+                batch = samplers.sample_projection_dpp_batch(kern, w, reps, 0, nodes_per_unit=16)
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(len(c) == 40 for c in batch)
+        unblocked = 2000 * 40 * 40 * np.dtype(complex).itemsize
+        assert peaks[2000] < unblocked / 2
+        assert peaks[2000] < 1.5 * peaks[250]
+
     def test_grid_doubling_convergence(self):
         # empirical mean position is stable under doubling the grid density
         kern = kernels.hermite_projection_kernel(5)
@@ -234,7 +267,7 @@ class TestProjectionDpp:
 
 
 class TestProjectionSamplerErrors:
-    """Both failure exits of the rejection loop, reached through the constructor."""
+    """Both failure exits of the chain's rejection loop, per replicate of a block."""
 
     def rows(self):
         grid = CellGrid(Window(0, 1), 1024)
@@ -242,27 +275,38 @@ class TestProjectionSamplerErrors:
         g = np.sqrt(2.0) * np.sin(2.0 * np.pi * grid.centers)  # orthonormal to f
         return grid, f, g
 
-    def sampler(self, features, grid):
-        features = np.asarray(features, dtype=complex)
-        diag = (np.abs(features) ** 2).sum(axis=0)
-        return samplers._ProjectionSampler(features, diag, grid)
+    def chain(self, rows, lam, grid, reps, seed):
+        features = np.stack(rows, axis=1)
+        diag = (features**2).sum(axis=1)
+        return samplers._hkpv_chain(features, diag, np.asarray(lam, float), grid, reps, seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_identical_rows_lose_rank(self, seed):
         grid, f, _ = self.rows()
-        sampler = self.sampler([f, f], grid)
         with pytest.raises(RankLossError):
-            sampler.sample(np.random.default_rng(seed))
+            self.chain([f, f], [1, 1], grid, 1, seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nearly_parallel_rows_stall(self, seed):
         # the second row leaves residual mass ~1e-10, above TOL.rank_loss but far
         # too little for the rejection loop to accept within MAX_TRIES
         grid, f, g = self.rows()
-        sampler = self.sampler([f, f + 1e-5 * g], grid)
         with pytest.raises(RuntimeError, match="stalled") as info:
-            sampler.sample(np.random.default_rng(seed))
+            self.chain([f, f + 1e-5 * g], [1, 1], grid, 1, seed)
         assert not isinstance(info.value, RankLossError)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_loss_in_part_of_a_block(self, seed):
+        # replicates that keep both copies of f lose rank at their third point;
+        # the others ([f, g], rank 2) finish, and the block must still raise
+        grid, f, g = self.rows()
+        lam = np.array([1.0, 0.5, 1.0])
+        reps = 20
+        (rng,) = samplers._child_rngs(seed, 1)  # the block's keep masks come first
+        lose = (rng.random((reps, 3)) < lam)[:, 1]
+        assert 0 < lose.sum() < reps
+        with pytest.raises(RankLossError):
+            self.chain([f, f, g], lam, grid, reps, seed)
 
 
 class TestDppMixture:
@@ -295,6 +339,22 @@ class TestDppMixture:
         want = sum(lams)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - want) < 3 * stderr
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_law_is_poisson_binomial(self, seed):
+        lams = [0.9, 0.7, 0.5, 0.3, 0.1]
+        kern = self.make_kernel(lams)
+        reps = 4000
+        batch = samplers.sample_dpp_mixture_batch(
+            kern, Window(*kern.window), reps, seed, nodes_per_unit=512
+        )
+        pmf = np.array([1.0])
+        for lam in lams:
+            pmf = np.convolve(pmf, [1.0 - lam, lam])
+        observed = np.bincount([len(c) for c in batch], minlength=len(pmf))
+        expected = reps * pmf
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert stat < chi2.ppf(0.99, len(pmf) - 1)
 
     def test_invalid_spectrum_rejected(self):
         kern = self.make_kernel([1.2, 0.5])
