@@ -24,6 +24,7 @@ from .gaussian_field import (
     sample_stationary_gp,
 )
 from .kernels import (
+    HermiteBasis,
     SpectralKernel,
     StationaryCovariance,
     analytic_lorentz_kernel,

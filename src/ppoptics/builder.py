@@ -127,12 +127,14 @@ def log_partition_function(spec: GrandCanonicalSpec) -> float:
 def induced_kernel(spec: GrandCanonicalSpec, basis, window) -> SpectralKernel:
     """Kernel <psi^dag(x) psi(y)> of the thermal state in the given basis.
 
-    Eigenvalues are the mean occupations of the levels; eta propagates.
+    `basis` is a feature map with one function per level (a
+    `SpectralKernel.basis`); eigenvalues are the mean occupations of the
+    levels and eta propagates.
     """
     if len(basis) != spec.nu.size:
         raise ValueError("need exactly one basis function per level")
     lam = levels_to_spectrum(spec).lambdas
-    return SpectralKernel(lam, tuple(basis), spec.eta, tuple(window))
+    return SpectralKernel(lam, basis, spec.eta, tuple(window))
 
 
 def rotate_measurement_basis(kernel, v) -> np.ndarray:

@@ -47,13 +47,6 @@ def parse_kernel_arg(text: str) -> dict:
     return {"name": name, "params": params}
 
 
-def _spectral_kernel(spec: dict) -> kernels.SpectralKernel:
-    kern = kernels.kernel_from_spec(spec)
-    if not isinstance(kern, kernels.SpectralKernel):
-        raise ValueError(f"kernel {spec['name']!r} has no eigen-decomposition to sample from")
-    return kern
-
-
 # ---------------------------------------------------------------------------
 # sample
 
@@ -84,7 +77,7 @@ def cmd_sample(args) -> int:
         elif args.family == "projection-dpp":
             spec = parse_kernel_arg(args.kernel)
             meta["kernel"] = spec
-            kern = _spectral_kernel(spec)
+            kern = kernels.kernel_from_spec(spec)
             if args.window_from_kernel:
                 w = Window(*kern.window)
                 meta["window_from_kernel"] = True
@@ -96,7 +89,7 @@ def cmd_sample(args) -> int:
             lambdas = np.array([float(x) for x in args.lambdas.split(",")])
             meta["kernel"] = spec
             meta["lambdas"] = lambdas.tolist()
-            base = _spectral_kernel(spec)
+            base = kernels.kernel_from_spec(spec)
             if lambdas.size != base.rank:
                 raise ValueError("need one lambda per kernel eigenvalue")
             kern = kernels.SpectralKernel(lambdas, base.basis, -1, base.window)

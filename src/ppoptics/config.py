@@ -7,7 +7,6 @@ from dataclasses import dataclass
 class Tolerances:
     exact: float = 1e-12        # algebraic identities in double precision
     trace: float = 1e-10        # oracle traces vs closed forms
-    quadrature: float = 1e-8    # basis orthonormality by quadrature
     psd: float = 1e-10          # |negative eigenvalue| allowed in "numerically PSD"
     embedding_clip: float = 1e-8  # relative circulant-eigenvalue clipping threshold
     rank_loss: float = 1e-12    # residual diagonal mass signalling sampler rank loss

@@ -3,14 +3,20 @@
 Closed-form stationary covariances, spectral (eigenfunction) kernels,
 first-order coherence kernels for free fermions, and the theoretical
 pair-correlation formulas for permanental and determinantal processes.
+
+A spectral kernel carries its eigenfunctions as one vectorised feature
+map, `basis(x) -> (rank, len(x))`; for Hermite kernels that is a single
+pass of the three-term recurrence (`HermiteBasis`).  Only spectral
+kernels have a registry name (`kernel_from_spec`), since only they can be
+sampled from the command line.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL
 
 HERMITE_MAX_MODES = 200
 HERMITE_SAFE_RANGE = 40.0  # |x| beyond which the recurrence start underflows
@@ -100,16 +106,31 @@ def hermite_functions(n: int, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class HermiteBasis:
+    """The first n Hermite functions as one feature map x -> (n, len(x)) array."""
+
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __call__(self, x) -> np.ndarray:
+        return hermite_functions(self.n, x)
+
+
+@dataclass(frozen=True)
 class SpectralKernel:
     """Kernel K(x,y) = sum_i lambda_i phi_i(x) conj(phi_i(y)).
 
-    `basis` holds the eigenfunction handles, orthonormal on `window`
-    with respect to the Lebesgue reference measure; eta = +1 flags a
-    permanental kernel, -1 a determinantal one.
+    `basis` is one vectorised feature map: called on points x it returns
+    the (rank, len(x)) array of phi_i(x), and `len(basis)` is the rank.
+    The phi_i are orthonormal on `window` with respect to the Lebesgue
+    reference measure; eta = +1 flags a permanental kernel, -1 a
+    determinantal one.
     """
 
     eigenvalues: np.ndarray
-    basis: tuple
+    basis: callable
     eta: int
     window: tuple
 
@@ -128,14 +149,8 @@ class SpectralKernel:
         return len(self.eigenvalues)
 
     def feature_matrix(self, points) -> np.ndarray:
-        """Matrix F with F[k, i] = phi_k(points[i])."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        return np.stack([np.asarray(f(pts), dtype=complex).reshape(pts.shape) for f in self.basis])
-
-    def evaluate(self, x, y) -> complex:
-        fx = self.feature_matrix([x])[:, 0]
-        fy = self.feature_matrix([y])[:, 0]
-        return complex(np.sum(self.eigenvalues * fx * fy.conj()))
+        """Matrix F with F[k, i] = phi_k(points[i]), in the basis's own dtype."""
+        return self.basis(np.atleast_1d(np.asarray(points, dtype=float)))
 
     def diagonal(self, points) -> np.ndarray:
         """K(x,x) on an array of points."""
@@ -152,16 +167,9 @@ def hermite_projection_kernel(n_modes: int) -> SpectralKernel:
     if not 1 <= n_modes <= HERMITE_MAX_MODES:
         raise ValueError(f"n_modes must be in 1..{HERMITE_MAX_MODES}, got {n_modes}")
     half_width = np.sqrt(2.0 * n_modes) + 10.0
-
-    def make_phi(k):
-        def phi(x):
-            return hermite_functions(k + 1, x)[k]
-
-        return phi
-
     return SpectralKernel(
         eigenvalues=np.ones(n_modes),
-        basis=tuple(make_phi(k) for k in range(n_modes)),
+        basis=HermiteBasis(n_modes),
         eta=-1,
         window=(-half_width, half_width),
     )
@@ -249,56 +257,22 @@ def gram_matrix(kernel: SpectralKernel, points) -> np.ndarray:
     return (f.T * kernel.eigenvalues) @ f.conj()
 
 
-def basis_gram(kernel: SpectralKernel, oversample: float = 8.0) -> np.ndarray:
-    """Gram matrix of the basis by trapezoid quadrature on the window.
+def kernel_from_spec(spec: dict) -> SpectralKernel:
+    """Build a spectral kernel from a JSON-style {'name': ..., 'params': {...}} spec.
 
-    The node spacing resolves the fastest basis oscillation (estimated
-    from the rank); for smooth rapidly decaying bases the trapezoid rule
-    converges spectrally, so orthonormal bases come out as the identity
-    to well below TOL.quadrature.
+    The one name is 'hermite', whose mode count ('n_modes', 'N' or 'n')
+    must be a finite integer.
     """
-    a, b = kernel.window
-    max_freq = np.sqrt(2.0 * kernel.rank) + 1.0
-    n_nodes = int(oversample * max_freq * (b - a) / np.pi) + 64
-    x = np.linspace(a, b, n_nodes)
-    w = np.full(n_nodes, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    f = kernel.feature_matrix(x)
-    return (f * w) @ f.conj().T
-
-
-def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (PSD check helper)."""
-    return float(np.linalg.eigvalsh(np.asarray(matrix)).min())
-
-
-def kernel_from_spec(spec: dict):
-    """Build a zoo kernel from a JSON-style {'name': ..., 'params': {...}} spec."""
     try:
         name = spec["name"]
         params = dict(spec.get("params", {}))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed kernel spec {spec!r}") from exc
-    def hermite_modes(p):
-        for key in ("n_modes", "N", "n"):
-            if key in p:
-                return int(p[key])
-        raise KeyError("'n_modes'")
-
-    builders = {
-        "lorentz": lambda p: lorentz_kernel(p["sigma"], p["omega"]),
-        "analytic_lorentz": lambda p: analytic_lorentz_kernel(p["sigma"], p["omega"]),
-        "hermite": lambda p: hermite_projection_kernel(hermite_modes(p)),
-        "fermi_sea_3d": lambda p: fermi_sea_kernel_3d(p["k_f"]),
-        "chiral_thermal": lambda p: chiral_thermal_kernel(
-            p["beta"], p["zeta"], p.get("epsilon"),
-            p.get("hbar", 1.0), p.get("v_fermi", 1.0),
-        ),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown kernel name {name!r}; known: {sorted(builders)}")
-    try:
-        return builders[name](params)
-    except KeyError as exc:
-        raise ValueError(f"kernel {name!r} is missing parameter {exc}") from exc
+    if name != "hermite":
+        raise ValueError(f"unknown kernel name {name!r}; known: ['hermite']")
+    n = next((params[key] for key in ("n_modes", "N", "n") if key in params), None)
+    if n is None:
+        raise ValueError("kernel 'hermite' is missing parameter 'n_modes'")
+    if not (isinstance(n, numbers.Integral) or float(n).is_integer()):
+        raise ValueError(f"the hermite mode count must be a finite integer, got {n!r}")
+    return hermite_projection_kernel(int(n))

@@ -85,7 +85,7 @@ class PointConfiguration:
         if pts.size:
             if pts[0] < self.window.a or pts[-1] > self.window.b:
                 raise ValueError("points outside the window")
-            if np.any(np.diff(pts) <= 0):
+            if (pts[1:] <= pts[:-1]).any():
                 raise ValueError("configuration must be simple (strictly increasing)")
         object.__setattr__(self, "points", pts)
 
@@ -109,11 +109,13 @@ class KernelValidityReport:
 
 
 def validate_kernel(kernel: SpectralKernel) -> KernelValidityReport:
-    """Existence check on the spectrum: lambda >= 0, and lambda <= 1 for eta=-1."""
+    """Existence check on the spectrum: lambda finite and >= 0, and lambda <= 1 for eta=-1."""
     tol = TOL.exact
     violations = []
     for i, lam in enumerate(kernel.eigenvalues):
-        if lam < -tol:
+        if not np.isfinite(lam):
+            violations.append((i, float(lam), "non-finite eigenvalue"))
+        elif lam < -tol:
             violations.append((i, float(lam), "negative eigenvalue"))
         elif kernel.eta == -1 and lam > 1.0 + tol:
             violations.append((i, float(lam), "exceeds the Macchi-Soshnikov bound"))
@@ -254,7 +256,7 @@ def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
     trace = cdf[-1] * grid.cell
     # per replicate: the directions, their gathered copy and three (proposals, rank)
     # round arrays, with at most about `trace` <= rank proposals per round
-    block = max(1, _CHAIN_BLOCK_BYTES // (5 * rank * rank * features.itemsize))
+    block = max(1, _CHAIN_BLOCK_BYTES // (5 * max(rank, 1) ** 2 * features.itemsize))
     starts = range(0, reps, block)
     out = []
     for start, rng in zip(starts, _child_rngs(seed, len(starts))):
@@ -338,17 +340,18 @@ def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
     )
 
 
-def _projection_features(basis, w: Window, grid: CellGrid):
-    """Features (cells, rank) and diagonal of the projection onto `basis` on the cells.
+def _projection_features(kernel: SpectralKernel, grid: CellGrid, cols=None):
+    """Features (cells, columns) of the kernel's basis on the cells, from one
+    call of its feature map, and their diagonal.  `cols` masks the basis
+    functions to keep (all when None).
 
-    The trace on the window must match the rank to within 5%.
+    The trace on the window must match the number of columns to within 5%.
     """
-    rank = len(basis)
-    sub = SpectralKernel(np.ones(rank), tuple(basis), -1, (w.a, w.b))
-    features = sub.feature_matrix(grid.centers).T
-    if not features.imag.any():
-        features = features.real  # a real basis: real arithmetic in the chain
+    features = kernel.feature_matrix(grid.centers).T
+    if cols is not None and not cols.all():
+        features = features[:, cols]
     features = np.ascontiguousarray(features)
+    rank = features.shape[1]
     diag = np.einsum("ik,ik->i", features, features.conj()).real
     trace = diag.sum() * grid.cell
     if abs(trace - rank) > 0.05 * rank:
@@ -370,9 +373,7 @@ def sample_projection_dpp_batch(
     if not np.all(unit | (np.abs(lam) <= 1e-9)):
         raise ValueError("projection sampling requires all eigenvalues in {0, 1}")
     grid = CellGrid(w, nodes_per_unit)
-    features, diag = _projection_features(
-        [f for f, u in zip(kernel.basis, unit) if u], w, grid
-    )
+    features, diag = _projection_features(kernel, grid, unit)
     return _hkpv_chain(features, diag, np.ones(features.shape[1]), grid, reps, seed)
 
 
@@ -390,7 +391,7 @@ def sample_dpp_mixture_batch(
     if not report:
         raise ValueError(f"kernel fails the validity check: {report.violations}")
     grid = CellGrid(w, nodes_per_unit)
-    features, diag = _projection_features(kernel.basis, w, grid)
+    features, diag = _projection_features(kernel, grid)
     return _hkpv_chain(features, diag, kernel.eigenvalues, grid, reps, seed)
 
 

@@ -94,8 +94,9 @@ class TestInducedKernel:
         kern = builder.induced_kernel(spec, base.basis, base.window)
         lam = 1.0 / (np.exp(0.7) + 1.0)
         x, y = 0.3, -0.8
-        phi = base.basis[0]
-        assert kern.evaluate(x, y) == pytest.approx(lam * phi(x)[0] * np.conj(phi(y)[0]))
+        phi = kernels.hermite_functions(1, [x, y])[0]
+        got = kernels.gram_matrix(kern, [x, y])[0, 1]
+        assert got == pytest.approx(lam * phi[0] * np.conj(phi[1]))
 
     def test_zero_temperature_reproduces_projection(self):
         n_fill, n_levels = 4, 7
@@ -111,6 +112,11 @@ class TestInducedKernel:
         want = kernels.gram_matrix(kernels.hermite_projection_kernel(n_fill), grid)
         got = kernels.gram_matrix(kern, grid)
         assert np.abs(got - want).max() < 1e-8
+
+    def test_basis_passes_through(self):
+        base = kernels.hermite_projection_kernel(3)
+        spec = GrandCanonicalSpec(1.0, 0.0, np.array([0.5, 1.0, 1.5]), -1)
+        assert builder.induced_kernel(spec, base.basis, base.window).basis is base.basis
 
     def test_eta_propagates(self):
         base = kernels.hermite_projection_kernel(2)

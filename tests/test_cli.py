@@ -175,6 +175,15 @@ class TestUserErrors:
         ["sample", "--family", "projection-dpp", "--kernel", "lorentz:sigma=1,omega=3"],
         ["sample", "--family", "dpp-mixture", "--kernel", "lorentz:sigma=1,omega=3",
          "--lambdas", "0.5"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=inf",
+         "--window-from-kernel"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:n_modes=1e400",
+         "--window-from-kernel"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10.7",
+         "--window-from-kernel", "--reps", "2", "--nodes-per-unit", "256"],
+        ["sample", "--family", "dpp-mixture", "--kernel", "hermite:N=3",
+         "--lambdas", "nan,0.5,0.5", "--window-from-kernel", "--reps", "2",
+         "--nodes-per-unit", "256"],
         ["pcf", "--batch", "{batch}", "--rmax", "2"],
         ["pcf", "--batch", "{batch}", "--bins", "0"],
         ["pcf", "--batch", "{batch}", "--theory", "bogus"],
@@ -186,7 +195,8 @@ class TestUserErrors:
         ["pcf", "--batch", "{no_window}"],
         ["pcf", "--batch", "{count_not_int}"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
-            "mixture-non-spectral", "rmax-beyond-window", "zero-bins", "unknown-theory",
+            "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
+            "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
             "theory-without-sigma", "all-empty-batch", "zero-replicates",
             "replicate-id-too-large", "replicate-id-negative", "header-without-window",
             "replicate-count-not-int"])

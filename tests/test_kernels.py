@@ -64,8 +64,16 @@ class TestHermiteFunctions:
             assert np.allclose(psi[k], want, atol=1e-10)
 
     def test_orthonormality_by_quadrature(self):
+        # trapezoid rule on the window, nodes resolving the fastest oscillation
+        # eight times over; it converges spectrally for these smooth functions
         kern = kernels.hermite_projection_kernel(20)
-        gram = kernels.basis_gram(kern)
+        a, b = kern.window
+        n_nodes = int(8.0 * (np.sqrt(2.0 * kern.rank) + 1.0) * (b - a) / np.pi) + 64
+        x = np.linspace(a, b, n_nodes)
+        w = np.full(n_nodes, x[1] - x[0])
+        w[[0, -1]] *= 0.5
+        f = kern.feature_matrix(x)
+        gram = (f * w) @ f.conj().T
         assert np.abs(gram - np.eye(20)).max() < 1e-8
 
     def test_trace_of_projection(self):
@@ -90,6 +98,36 @@ class TestHermiteFunctions:
     def test_far_field_warning(self):
         with pytest.warns(UserWarning, match="underflow"):
             kernels.hermite_functions(3, np.array([45.0]))
+
+
+class TestHermiteBasis:
+    @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
+    def test_rows_do_not_depend_on_the_count(self, n):
+        # row k of the recurrence is the same whatever the number of rows, which
+        # is what keeps one-pass features bit-identical to per-row evaluation
+        x = np.linspace(-25.0, 25.0, 2001)
+        rows = kernels.HermiteBasis(n)(x)
+        for k in range(n):
+            assert rows[k].tobytes() == kernels.hermite_functions(k + 1, x)[k].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_length_is_the_rank(self, n):
+        kern = kernels.hermite_projection_kernel(n)
+        assert len(kern.basis) == kern.rank == n
+
+    def test_feature_matrix_is_real(self):
+        kern = kernels.hermite_projection_kernel(6)
+        f = kern.feature_matrix(np.linspace(-3, 3, 17))
+        assert f.dtype == np.float64
+        assert f.shape == (6, 17)
+
+    def test_scalar_point(self):
+        kern = kernels.hermite_projection_kernel(3)
+        assert kern.feature_matrix(0.4).shape == (3, 1)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="one basis function per eigenvalue"):
+            kernels.SpectralKernel(np.ones(3), kernels.HermiteBasis(4), -1, (-5, 5))
 
 
 class TestFermiSea:
@@ -194,13 +232,11 @@ class TestGramMatrix:
             pts = rng.uniform(-3, 3, rng.integers(2, 21))
             g = kernels.gram_matrix(kern, pts)
             assert np.abs(g - g.conj().T).max() < 1e-12
-            assert kernels.min_eigenvalue(g) >= -1e-10
+            assert np.linalg.eigvalsh(g).min() >= -1e-10
 
 
 class TestKernelFromSpec:
     def test_round_trip_names(self):
-        cov = kernels.kernel_from_spec({"name": "lorentz", "params": {"sigma": 0.2, "omega": 60}})
-        assert cov.params["name"] == "lorentz"
         kern = kernels.kernel_from_spec({"name": "hermite", "params": {"n_modes": 4}})
         assert kern.rank == 4
 
@@ -209,18 +245,35 @@ class TestKernelFromSpec:
         assert kern.rank == 6
 
     def test_chiral_default_epsilon(self):
-        kern = kernels.kernel_from_spec(
-            {"name": "chiral_thermal", "params": {"beta": 2.0, "zeta": 0.1}}
-        )
+        kern = kernels.chiral_thermal_kernel(2.0, 0.1)
         assert np.isfinite(kern(0.0, 0.0))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             kernels.kernel_from_spec({"name": "nope", "params": {}})
 
+    @pytest.mark.parametrize("name", ["lorentz", "analytic_lorentz", "fermi_sea_3d",
+                                      "chiral_thermal"])
+    def test_only_spectral_kernels_have_names(self, name):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            kernels.kernel_from_spec({"name": name, "params": {"sigma": 0.2, "omega": 60}})
+
+    @pytest.mark.parametrize("n", [10.7, 0.5, float("inf"), float("-inf"), float("nan")])
+    def test_mode_count_must_be_a_finite_integer(self, n):
+        with pytest.raises(ValueError, match="finite integer"):
+            kernels.kernel_from_spec({"name": "hermite", "params": {"N": n}})
+
+    def test_huge_integer_mode_count(self):
+        with pytest.raises(ValueError, match="n_modes must be in"):
+            kernels.kernel_from_spec({"name": "hermite", "params": {"N": 10**400}})
+
+    def test_integral_float_mode_count(self):
+        kern = kernels.kernel_from_spec({"name": "hermite", "params": {"N": 7.0}})
+        assert kern.rank == 7
+
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="missing parameter"):
-            kernels.kernel_from_spec({"name": "lorentz", "params": {"sigma": 0.2}})
+            kernels.kernel_from_spec({"name": "hermite", "params": {}})
 
     def test_malformed(self):
         with pytest.raises(ValueError):

@@ -213,6 +213,35 @@ class TestProjectionDpp:
         stat = np.sum((observed - expected) ** 2 / expected)
         assert stat < chi2.ppf(0.99, len(expected) - 1)
 
+    def test_zero_eigenvalues_drop_their_columns(self):
+        # the unit-eigenvalue mask gives the same chain input, and so the same
+        # samples, as a basis that holds only the kept functions
+        class Rows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __len__(self):
+                return len(self.rows)
+
+            def __call__(self, x):
+                return kernels.hermite_functions(4, x)[self.rows]
+
+        full = kernels.hermite_projection_kernel(4)
+        masked = kernels.SpectralKernel([1.0, 0.0, 1.0, 1.0], full.basis, -1, full.window)
+        kept = kernels.SpectralKernel(np.ones(3), Rows([0, 2, 3]), -1, full.window)
+        w = Window(*full.window)
+        got = samplers.sample_projection_dpp_batch(masked, w, 20, seed=4, nodes_per_unit=256)
+        want = samplers.sample_projection_dpp_batch(kept, w, 20, seed=4, nodes_per_unit=256)
+        assert [len(c) for c in got] == [3] * 20
+        for a, b in zip(got, want):
+            assert a.points.tobytes() == b.points.tobytes()
+
+    def test_all_zero_spectrum_is_empty(self):
+        full = kernels.hermite_projection_kernel(3)
+        empty = kernels.SpectralKernel(np.zeros(3), full.basis, -1, full.window)
+        batch = samplers.sample_projection_dpp_batch(empty, Window(*full.window), 4, seed=0)
+        assert [len(c) for c in batch] == [0] * 4
+
     def test_rejects_non_projection_spectrum(self):
         kern = kernels.hermite_projection_kernel(4)
         bad = kernels.SpectralKernel([1.0, 0.5, 1.0, 1.0], kern.basis, -1, kern.window)
@@ -425,6 +454,13 @@ class TestValidateKernel:
     def test_negative_eigenvalue_flagged(self):
         report = samplers.validate_kernel(self.base([-0.1, 0.5], +1))
         assert not report.valid
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("eta", [-1, 1])
+    def test_non_finite_eigenvalue_flagged(self, bad, eta):
+        report = samplers.validate_kernel(self.base([0.5, bad, 0.5], eta))
+        assert not report.valid
+        assert [v[0] for v in report.violations] == [1]
 
 
 class TestSerialization:
