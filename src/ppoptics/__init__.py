@@ -44,7 +44,6 @@ from .samplers import (
     sample_fock_pp_batch,
     sample_permanental_batch,
     sample_poisson_batch,
-    sample_projection_dpp_batch,
     validate_kernel,
 )
 from .wick import (

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .config import TOL
 from .kernels import SpectralKernel
+
+# largest deviation from unitarity a basis-change matrix may have
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def rotate_measurement_basis(kernel, v) -> np.ndarray:
     n = lam.size
     if v.shape != (n, n):
         raise ValueError(f"unitary must be {n}x{n}, got {v.shape}")
-    if np.abs(v.conj().T @ v - np.eye(n)).max() > TOL.unitary:
+    if np.abs(v.conj().T @ v - np.eye(n)).max() > UNITARY_TOL:
         raise ValueError("matrix is not unitary to tolerance")
     return (v * lam) @ v.conj().T
 
@@ -163,7 +165,7 @@ def two_mode_unitary(alpha: complex, beta_c: complex, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("need at least two modes")
-    if abs(abs(alpha) ** 2 + abs(beta_c) ** 2 - 1.0) > 1e-10:
+    if abs(abs(alpha) ** 2 + abs(beta_c) ** 2 - 1.0) > UNITARY_TOL:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     v = np.eye(n, dtype=complex)
     v[n - 2, n - 2] = np.conj(alpha)

@@ -74,25 +74,19 @@ def cmd_sample(args) -> int:
             batch = samplers.sample_permanental_batch(
                 cov, args.scale, w, args.reps, args.seed, args.nodes_per_unit
             )
-        elif args.family == "projection-dpp":
+        elif args.family in ("projection-dpp", "dpp-mixture"):
+            # a projection takes its eigenvalues from the kernel, a mixture from --lambdas
             spec = parse_kernel_arg(args.kernel)
+            mixture = args.family == "dpp-mixture"
+            lambdas = [float(x) for x in args.lambdas.split(",")] if mixture else None
             meta["kernel"] = spec
+            if mixture:
+                meta["lambdas"] = lambdas
             kern = kernels.kernel_from_spec(spec)
-            if args.window_from_kernel:
-                w = Window(*kern.window)
-                meta["window_from_kernel"] = True
-            batch = samplers.sample_projection_dpp_batch(
-                kern, w, args.reps, args.seed, args.nodes_per_unit
-            )
-        elif args.family == "dpp-mixture":
-            spec = parse_kernel_arg(args.kernel)
-            lambdas = np.array([float(x) for x in args.lambdas.split(",")])
-            meta["kernel"] = spec
-            meta["lambdas"] = lambdas.tolist()
-            base = kernels.kernel_from_spec(spec)
-            if lambdas.size != base.rank:
-                raise ValueError("need one lambda per kernel eigenvalue")
-            kern = kernels.SpectralKernel(lambdas, base.basis, -1, base.window)
+            if mixture:
+                if len(lambdas) != kern.rank:
+                    raise ValueError("need one lambda per kernel eigenvalue")
+                kern = kernels.SpectralKernel(lambdas, kern.basis, -1, kern.window)
             if args.window_from_kernel:
                 w = Window(*kern.window)
                 meta["window_from_kernel"] = True
@@ -246,7 +240,7 @@ def suite_coherent(alpha: complex = 1.5, cutoff: int = 40) -> dict:
     mean = abs(alpha) ** 2
     ns = np.arange(cutoff + 1)
     pmf_dev = np.abs(np.abs(state) ** 2 - poisson_dist.pmf(ns, mean))[: cutoff // 2].max()
-    a = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
+    a = fock.ladder(fock.ModeSpec(1, cutoff, 1), 0, "annihilate").matrix.toarray()
     eigen_dev = abs(state.conj() @ (a @ state) - alpha)
     # small displacement at the documented cutoff, large one with headroom:
     # the low-occupation block only obeys D^-1 a D = a + alpha once the
@@ -334,7 +328,7 @@ def suite_gue(n: int = 8, reps: int = 5000, seed: int = 0) -> dict:
     eigs = gue_eigenvalues(n, reps, seed)
     kern = kernels.hermite_projection_kernel(n)
     w = Window(*kern.window)
-    batch = samplers.sample_projection_dpp_batch(kern, w, reps, seed + 1)
+    batch = samplers.sample_dpp_mixture_batch(kern, w, reps, seed + 1)
     pooled = np.concatenate([c.points for c in batch])
     ks = float(ks_2samp(eigs, pooled).statistic)
     checks = [_check("ks_distance_gue_vs_hermite_dpp", ks, 0.02)]

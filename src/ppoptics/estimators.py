@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import PointConfiguration
-
 
 @dataclass(frozen=True)
 class PcfEstimate:

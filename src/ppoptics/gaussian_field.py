@@ -15,11 +15,12 @@ import warnings
 
 import numpy as np
 
-from .config import TOL
 from .kernels import StationaryCovariance
 
 # largest circulant the embedding grows to before it refuses a covariance
 EMBEDDING_MAX_M = 2**20
+# eigenvalues down to -EMBEDDING_CLIP times the largest are clipped to zero
+EMBEDDING_CLIP = 1e-8
 
 
 class EmbeddingError(RuntimeError):
@@ -43,7 +44,7 @@ def embedding_spectrum(cov: StationaryCovariance, n: int, dt: float) -> np.ndarr
     """Eigenvalues of a circulant embedding of the covariance on n nodes spaced dt.
 
     The circulant size m starts at the smallest power of two >= 2n and
-    doubles while eigenvalues fall below -TOL.embedding_clip * max
+    doubles while eigenvalues fall below -EMBEDDING_CLIP * max
     (Wood and Chan 1994); past EMBEDDING_MAX_M that is an error.  Small
     negatives are clipped to zero with a warning reporting the clipped
     relative power.
@@ -63,7 +64,7 @@ def embedding_spectrum(cov: StationaryCovariance, n: int, dt: float) -> np.ndarr
         dmax = d.max()
         if dmax <= 0:
             raise EmbeddingError("embedded covariance has no positive spectral mass")
-        if d.min() >= -TOL.embedding_clip * dmax:
+        if d.min() >= -EMBEDDING_CLIP * dmax:
             break
         if m >= EMBEDDING_MAX_M:
             raise EmbeddingError(

@@ -4,7 +4,7 @@ i.i.d. point processes on an interval, plus batch CSV I/O.
 The sampler API is batch-only: each family has one `sample_*_batch`
 function, and a single draw is `reps=1`.  Every batch is deterministic
 given its seed: Poisson, permanental and fixed-count replicates each use
-an independently spawned child seed, and the determinantal samplers one
+an independently spawned child seed, and the determinantal sampler one
 per block of replicates.  `sample_cox` is the exception: it draws once on
 a given intensity path, from a seed or a `Generator`.
 
@@ -15,12 +15,15 @@ permanental field is drawn at the same cell centers and nowhere outside
 the window: a stationary field's law on the window does not depend on what
 lies beyond it.  `sample_cox` takes its window from the grid.
 
-Projection kernels and general determinantal kernels (the Bernoulli
-mixture over projections, Lavancier, Moller and Rubak 2015) share one
-sampler: the sequential chain of Hough, Krishnapur, Peres and Virag (2006),
-run for a block of replicates in lockstep.  A projection keeps every basis
-function and a mixture replicate keeps function i with probability
-lambda_i.  All replicates propose from one density, the full-basis diagonal,
+Every determinantal kernel is a Bernoulli mixture of projections (Hough,
+Krishnapur, Peres and Virag 2006, Thm. 7; Lavancier, Moller and Rubak
+2015), and `sample_dpp_mixture_batch` is the one DPP sampler: each
+replicate keeps basis function i with probability lambda_i and runs the
+sequential chain of the same paper on the kept ones.  A projection kernel
+is the case where every lambda is 0 or 1: a function with lambda = 1 is
+kept by every replicate, one with lambda <= 0 by none, so its column is
+dropped before sampling.  The chain runs a block of replicates in lockstep.
+All replicates propose from one density, the diagonal of the columns left,
 through one CDF, and accept by exact rejection against their own residual
 diagonal.  Each block draws its keep masks, proposals and jitter from its
 own child generator; a private byte budget sets the block size.
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .gaussian_field import embedding_spectrum, _embedded_complex_sample
 from .kernels import SpectralKernel
 
@@ -83,7 +85,8 @@ class PointConfiguration:
     def __post_init__(self):
         pts = np.sort(np.asarray(self.points, dtype=float).ravel())
         if pts.size:
-            if pts[0] < self.window.a or pts[-1] > self.window.b:
+            # written so that a NaN (sorted last) fails it
+            if not (self.window.a <= pts[0] and pts[-1] <= self.window.b):
                 raise ValueError("points outside the window")
             if (pts[1:] <= pts[:-1]).any():
                 raise ValueError("configuration must be simple (strictly increasing)")
@@ -108,16 +111,19 @@ class KernelValidityReport:
         return self.valid
 
 
+# rounding slack on the existence bounds of a kernel spectrum
+_SPECTRUM_TOL = 1e-12
+
+
 def validate_kernel(kernel: SpectralKernel) -> KernelValidityReport:
     """Existence check on the spectrum: lambda finite and >= 0, and lambda <= 1 for eta=-1."""
-    tol = TOL.exact
     violations = []
     for i, lam in enumerate(kernel.eigenvalues):
         if not np.isfinite(lam):
             violations.append((i, float(lam), "non-finite eigenvalue"))
-        elif lam < -tol:
+        elif lam < -_SPECTRUM_TOL:
             violations.append((i, float(lam), "negative eigenvalue"))
-        elif kernel.eta == -1 and lam > 1.0 + tol:
+        elif kernel.eta == -1 and lam > 1.0 + _SPECTRUM_TOL:
             violations.append((i, float(lam), "exceeds the Macchi-Soshnikov bound"))
     return KernelValidityReport(kernel.eta, not violations, tuple(violations))
 
@@ -171,7 +177,10 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
         t = w.a + w.length * rng.random(n)
         vals = np.asarray(rate_fn(t), dtype=float)
         if vals.shape != t.shape:
-            vals = np.array([float(rate_fn(ti)) for ti in t])
+            raise ValueError(
+                f"rate_fn must map times of shape {t.shape} to rates of the same shape, "
+                f"got {vals.shape}"
+            )
         if vals.size and vals.max() > rate_max * (1 + 1e-12):
             worst = t[np.argmax(vals)]
             raise ValueError(
@@ -224,7 +233,7 @@ def sample_permanental_batch(
 
 
 # ---------------------------------------------------------------------------
-# Determinantal (one sequential chain for projections and their Bernoulli mixtures)
+# Determinantal (the Bernoulli mixture over projections, one sequential chain)
 
 
 # the chain's direction array and per-round gathers stay within about this many
@@ -323,16 +332,20 @@ def _orthonormal(phi, coef, phi_norm2, conj_prev):
     return e / np.sqrt(norm2)[:, None]
 
 
+# residual diagonal mass per kept function below which a stuck replicate has lost rank
+_RANK_LOSS_MASS = 1e-12
+
+
 def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
     """The error for replicates that used `_MAX_TRIES` proposals on one point:
-    `RankLossError` when one's residual diagonal mass is below TOL.rank_loss
+    `RankLossError` when one's residual diagonal mass is below _RANK_LOSS_MASS
     times its rank, else the stalled `RuntimeError`."""
     gram = features.conj().T @ features
     captured = np.einsum("tkj,tkj->t", conj_dirs.conj(), gram @ conj_dirs).real
     mass = (keep @ gram.diagonal().real - captured) * grid.cell
     worst = np.argmin(mass / keep.sum(axis=1))
     j = conj_dirs.shape[2]
-    if mass[worst] < TOL.rank_loss * keep[worst].sum():
+    if mass[worst] < _RANK_LOSS_MASS * keep[worst].sum():
         return RankLossError(f"projected diagonal mass {mass[worst]:.3e} after {j} points")
     return RuntimeError(
         f"rejection loop stalled with residual mass {mass[worst]:.3e} after {j} points; "
@@ -340,17 +353,18 @@ def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
     )
 
 
-def _projection_features(kernel: SpectralKernel, grid: CellGrid, cols=None):
+def _projection_features(kernel: SpectralKernel, grid: CellGrid):
     """Features (cells, columns) of the kernel's basis on the cells, from one
-    call of its feature map, and their diagonal.  `cols` masks the basis
-    functions to keep (all when None).
+    call of its feature map, their diagonal and their eigenvalues.  A basis
+    function with lambda <= 0 is never kept, so its column is dropped.
 
     The trace on the window must match the number of columns to within 5%.
     """
-    features = kernel.feature_matrix(grid.centers).T
-    if cols is not None and not cols.all():
-        features = features[:, cols]
-    features = np.ascontiguousarray(features)
+    kept = kernel.eigenvalues > 0
+    features = kernel.feature_matrix(grid.centers)
+    if not kept.all():
+        features = features[kept]
+    features = np.ascontiguousarray(features.T)
     rank = features.shape[1]
     diag = np.einsum("ik,ik->i", features, features.conj()).real
     trace = diag.sum() * grid.cell
@@ -359,22 +373,7 @@ def _projection_features(kernel: SpectralKernel, grid: CellGrid, cols=None):
             f"kernel trace on the window is {trace:.3f}, expected {rank}; "
             "the basis is not orthonormal on this window or the grid is too coarse"
         )
-    return features, diag
-
-
-def sample_projection_dpp_batch(
-    kernel, w: Window, reps: int, seed, nodes_per_unit: int = 4096
-) -> list:
-    """Exactly-N samples of a projection determinantal process."""
-    if kernel.eta != -1:
-        raise ValueError("the sequential conditional scheme samples determinantal kernels")
-    lam = kernel.eigenvalues
-    unit = np.abs(lam - 1.0) <= 1e-9
-    if not np.all(unit | (np.abs(lam) <= 1e-9)):
-        raise ValueError("projection sampling requires all eigenvalues in {0, 1}")
-    grid = CellGrid(w, nodes_per_unit)
-    features, diag = _projection_features(kernel, grid, unit)
-    return _hkpv_chain(features, diag, np.ones(features.shape[1]), grid, reps, seed)
+    return features, diag, kernel.eigenvalues[kept]
 
 
 def sample_dpp_mixture_batch(
@@ -383,7 +382,9 @@ def sample_dpp_mixture_batch(
     """DPP samples via the Bernoulli mixture over projection kernels.
 
     Each replicate keeps eigenfunction i with probability lambda_i and
-    samples the projection onto the kept ones.
+    samples the projection onto the kept ones.  A projection kernel (every
+    lambda 0 or 1) keeps the same functions in every replicate, so each
+    sample has exactly as many points as it has unit eigenvalues.
     """
     if kernel.eta != -1:
         raise ValueError("the Bernoulli mixture construction is determinantal (eta=-1)")
@@ -391,8 +392,7 @@ def sample_dpp_mixture_batch(
     if not report:
         raise ValueError(f"kernel fails the validity check: {report.violations}")
     grid = CellGrid(w, nodes_per_unit)
-    features, diag = _projection_features(kernel, grid)
-    return _hkpv_chain(features, diag, kernel.eigenvalues, grid, reps, seed)
+    return _hkpv_chain(*_projection_features(kernel, grid), grid, reps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +448,13 @@ def load_batch_csv(path):
         n = meta["n_replicates"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed batch header: {exc!r}") from exc
-    if not isinstance(n, int) or n < 0:
+    # not isinstance: a JSON true loads as a bool, which is an int
+    if type(n) is not int or n < 0:
         raise ValueError(f"{path}: n_replicates must be a nonnegative integer, got {n!r}")
     points = [[] for _ in range(n)]
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=3):
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected 2")
         k = int(row[0])
         if not 0 <= k < n:
             raise ValueError(f"{path}: replicate id {k} outside [0, {n})")

@@ -92,7 +92,7 @@ def matched_batches():
     """
     unit = Window(0.0, 1.0)
     kern = kernels.hermite_projection_kernel(10)
-    raw = samplers.sample_projection_dpp_batch(kern, Window(*kern.window), REPS_PCF, seed=40)
+    raw = samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), REPS_PCF, seed=40)
     bulk = Window(-1.5, 1.5)
     dpp = []
     for c in raw:
@@ -158,7 +158,7 @@ def test_c05_dispersion_ordering():
     fano_g, se_g = batched_fano(counts_g)
 
     kern = kernels.hermite_projection_kernel(10)
-    proj = samplers.sample_projection_dpp_batch(
+    proj = samplers.sample_dpp_mixture_batch(
         kern, Window(*kern.window), 300, seed=52, nodes_per_unit=1024
     )
     var_proj = estimators.count_statistics(proj)["variance"]

@@ -161,7 +161,11 @@ class TestUserErrors:
                 "id_too_large": ({"n_replicates": 2, "window": window}, ["0,0.25", "2,0.5"]),
                 "id_negative": ({"n_replicates": 2, "window": window}, ["0,0.25", "-1,0.5"]),
                 "no_window": ({"n_replicates": 1}, ["0,0.25"]),
-                "count_not_int": ({"n_replicates": "2", "window": window}, ["0,0.25"])}
+                "count_not_int": ({"n_replicates": "2", "window": window}, ["0,0.25"]),
+                "count_bool": ({"n_replicates": True, "window": window}, ["0,0.25"]),
+                "one_field": ({"n_replicates": 2, "window": window}, ["0,0.25", "1"]),
+                "blank_line": ({"n_replicates": 1, "window": window}, ["0,0.25", "", "0,0.5"]),
+                "nan_point": ({"n_replicates": 1, "window": window}, ["0,nan"])}
         for name, (meta, lines) in rows.items():
             paths[name] = tmp_path / f"{name}.csv"
             header = json.dumps(meta)
@@ -194,12 +198,17 @@ class TestUserErrors:
         ["pcf", "--batch", "{id_negative}"],
         ["pcf", "--batch", "{no_window}"],
         ["pcf", "--batch", "{count_not_int}"],
+        ["pcf", "--batch", "{count_bool}"],
+        ["pcf", "--batch", "{one_field}"],
+        ["pcf", "--batch", "{blank_line}"],
+        ["pcf", "--batch", "{nan_point}"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
             "theory-without-sigma", "all-empty-batch", "zero-replicates",
             "replicate-id-too-large", "replicate-id-negative", "header-without-window",
-            "replicate-count-not-int"])
+            "replicate-count-not-int", "replicate-count-bool", "row-with-one-field",
+            "blank-row", "nan-point"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]

@@ -104,7 +104,7 @@ class TestCountStatistics:
 
     def test_projection_dpp_variance_exactly_zero(self):
         kern = kernels.hermite_projection_kernel(6)
-        batch = samplers.sample_projection_dpp_batch(
+        batch = samplers.sample_dpp_mixture_batch(
             kern, Window(*kern.window), 200, seed=12, nodes_per_unit=512
         )
         stats = estimators.count_statistics(batch)

@@ -119,6 +119,10 @@ class TestPoisson:
         counts = batch_counts(batch)
         assert abs(counts.mean() - 1.0) < 3 * np.sqrt(1.0 / reps)
 
+    def test_scalar_rate_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            samplers.sample_poisson_batch(lambda t: 2.0, 2.0, Window(0, 1), 1, 0)
+
     def test_rate_exceeding_bound_aborts(self):
         with pytest.raises(ValueError, match="exceeds rate_max"):
             samplers.sample_poisson_batch(lambda t: np.full_like(t, 3.0), 2.0, Window(0, 1), 1, 0)
@@ -194,7 +198,7 @@ class TestPermanental:
 class TestProjectionDpp:
     def test_cardinality_always_n(self):
         kern = kernels.hermite_projection_kernel(10)
-        batch = samplers.sample_projection_dpp_batch(kern, Window(*kern.window), 300, seed=5)
+        batch = samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), 300, seed=5)
         assert all(len(c) == 10 for c in batch)
         for c in batch[:20]:
             assert_simple_sorted(c)
@@ -204,7 +208,7 @@ class TestProjectionDpp:
         kern = kernels.hermite_projection_kernel(1)
         w = Window(*kern.window)
         reps = 4000
-        batch = samplers.sample_projection_dpp_batch(kern, w, reps, seed=6)
+        batch = samplers.sample_dpp_mixture_batch(kern, w, reps, seed=6)
         pts = np.concatenate([c.points for c in batch])
         edges = np.array([-np.inf, -1.5, -1.0, -0.6, -0.3, 0.0, 0.3, 0.6, 1.0, 1.5, np.inf])
         observed, _ = np.histogram(pts, edges)
@@ -230,8 +234,8 @@ class TestProjectionDpp:
         masked = kernels.SpectralKernel([1.0, 0.0, 1.0, 1.0], full.basis, -1, full.window)
         kept = kernels.SpectralKernel(np.ones(3), Rows([0, 2, 3]), -1, full.window)
         w = Window(*full.window)
-        got = samplers.sample_projection_dpp_batch(masked, w, 20, seed=4, nodes_per_unit=256)
-        want = samplers.sample_projection_dpp_batch(kept, w, 20, seed=4, nodes_per_unit=256)
+        got = samplers.sample_dpp_mixture_batch(masked, w, 20, seed=4, nodes_per_unit=256)
+        want = samplers.sample_dpp_mixture_batch(kept, w, 20, seed=4, nodes_per_unit=256)
         assert [len(c) for c in got] == [3] * 20
         for a, b in zip(got, want):
             assert a.points.tobytes() == b.points.tobytes()
@@ -239,14 +243,23 @@ class TestProjectionDpp:
     def test_all_zero_spectrum_is_empty(self):
         full = kernels.hermite_projection_kernel(3)
         empty = kernels.SpectralKernel(np.zeros(3), full.basis, -1, full.window)
-        batch = samplers.sample_projection_dpp_batch(empty, Window(*full.window), 4, seed=0)
+        batch = samplers.sample_dpp_mixture_batch(empty, Window(*full.window), 4, seed=0)
         assert [len(c) for c in batch] == [0] * 4
 
-    def test_rejects_non_projection_spectrum(self):
-        kern = kernels.hermite_projection_kernel(4)
-        bad = kernels.SpectralKernel([1.0, 0.5, 1.0, 1.0], kern.basis, -1, kern.window)
-        with pytest.raises(ValueError, match="projection"):
-            samplers.sample_projection_dpp_batch(bad, Window(*kern.window), 1, 0)
+    def test_chain_gets_kept_columns_and_unsnapped_spectrum(self, monkeypatch):
+        # a lambda = 0 column is dropped; a spectrum near {0, 1} reaches the chain as it is
+        seen = {}
+
+        def chain(features, diag, lam, grid, reps, seed):
+            seen.update(columns=features.shape[1], lam=lam)
+            return []
+
+        monkeypatch.setattr(samplers, "_hkpv_chain", chain)
+        full = kernels.hermite_projection_kernel(4)
+        near = kernels.SpectralKernel([1.0, 0.0, 1.0 - 1e-12, 1e-12], full.basis, -1, full.window)
+        samplers.sample_dpp_mixture_batch(near, Window(*full.window), 1, 0, nodes_per_unit=256)
+        assert seen["columns"] == 3
+        assert seen["lam"].tolist() == [1.0, 1.0 - 1e-12, 1e-12]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pair_law_hermite_2(self, seed):
@@ -255,7 +268,7 @@ class TestProjectionDpp:
         # density K(x, x) / 2 (E[x^2] = 1) would give E[u^2] = 2
         kern = kernels.hermite_projection_kernel(2)
         reps = 4000
-        batch = samplers.sample_projection_dpp_batch(
+        batch = samplers.sample_dpp_mixture_batch(
             kern, Window(*kern.window), reps, seed, nodes_per_unit=1024
         )
         gap2 = np.array([np.diff(c.points)[0] ** 2 for c in batch])
@@ -271,7 +284,7 @@ class TestProjectionDpp:
         for reps in (250, 2000):
             tracemalloc.start()
             try:
-                batch = samplers.sample_projection_dpp_batch(kern, w, reps, 0, nodes_per_unit=16)
+                batch = samplers.sample_dpp_mixture_batch(kern, w, reps, 0, nodes_per_unit=16)
                 peaks[reps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -286,11 +299,11 @@ class TestProjectionDpp:
         w = Window(*kern.window)
         m1 = np.mean(
             [c.points.mean() for c in
-             samplers.sample_projection_dpp_batch(kern, w, 400, 7, nodes_per_unit=512)]
+             samplers.sample_dpp_mixture_batch(kern, w, 400, 7, nodes_per_unit=512)]
         )
         m2 = np.mean(
             [c.points.mean() for c in
-             samplers.sample_projection_dpp_batch(kern, w, 400, 7, nodes_per_unit=1024)]
+             samplers.sample_dpp_mixture_batch(kern, w, 400, 7, nodes_per_unit=1024)]
         )
         assert abs(m1 - m2) < 0.1
 
@@ -317,7 +330,7 @@ class TestProjectionSamplerErrors:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nearly_parallel_rows_stall(self, seed):
-        # the second row leaves residual mass ~1e-10, above TOL.rank_loss but far
+        # the second row leaves residual mass ~1e-10, above the rank-loss mass but far
         # too little for the rejection loop to accept within MAX_TRIES
         grid, f, g = self.rows()
         with pytest.raises(RuntimeError, match="stalled") as info:
@@ -336,6 +349,23 @@ class TestProjectionSamplerErrors:
         assert 0 < lose.sum() < reps
         with pytest.raises(RankLossError):
             self.chain([f, f, g], lam, grid, reps, seed)
+
+
+class TestOrthonormal:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_second_pass_for_nearly_dependent_row(self, seed):
+        # phi lies 1e-8 off the span of three orthonormal directions: one
+        # Gram-Schmidt pass leaves a residual whose rounding error is ~1e-8 of
+        # its own norm, and only the second pass makes it orthogonal
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        dirs, off = q[:, :3], q[:, 3:]
+        phi = dirs @ rng.standard_normal(3) + 1e-8 * (off @ rng.standard_normal(3))
+        e = samplers._orthonormal(
+            phi[None], (phi @ dirs.conj())[None], np.vdot(phi, phi).real[None], dirs.conj()[None]
+        )[0]
+        assert np.abs(dirs.conj().T @ e).max() < 1e-12
+        assert abs(np.vdot(e, e) - 1.0) < 1e-12
 
 
 class TestDppMixture:
@@ -369,21 +399,31 @@ class TestDppMixture:
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - want) < 3 * stderr
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_count_law_is_poisson_binomial(self, seed):
-        lams = [0.9, 0.7, 0.5, 0.3, 0.1]
-        kern = self.make_kernel(lams)
+    def assert_poisson_binomial_counts(self, lams, seed):
         reps = 4000
+        kern = self.make_kernel(lams)
         batch = samplers.sample_dpp_mixture_batch(
             kern, Window(*kern.window), reps, seed, nodes_per_unit=512
         )
         pmf = np.array([1.0])
         for lam in lams:
             pmf = np.convolve(pmf, [1.0 - lam, lam])
+        support = pmf > 0
         observed = np.bincount([len(c) for c in batch], minlength=len(pmf))
-        expected = reps * pmf
-        stat = np.sum((observed - expected) ** 2 / expected)
-        assert stat < chi2.ppf(0.99, len(pmf) - 1)
+        assert observed[~support].sum() == 0
+        expected = reps * pmf[support]
+        stat = np.sum((observed[support] - expected) ** 2 / expected)
+        assert stat < chi2.ppf(0.99, support.sum() - 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_law_is_poisson_binomial(self, seed):
+        self.assert_poisson_binomial_counts([0.9, 0.7, 0.5, 0.3, 0.1], seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_count_law_with_zero_and_unit_lambdas(self, seed):
+        # lambda = 1 is kept by every replicate, and the lambda = 0 column, dropped
+        # before sampling, by none
+        self.assert_poisson_binomial_counts([0.1, 0.9, 1.0, 0.0, 0.5], seed)
 
     def test_invalid_spectrum_rejected(self):
         kern = self.make_kernel([1.2, 0.5])
