@@ -57,6 +57,8 @@ def cmd_sample(args) -> int:
         w = Window(args.window[0], args.window[1])
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
+        if args.lambdas and args.family != "dpp-mixture":
+            raise ValueError(f"--lambdas is for the dpp-mixture family, not {args.family}")
         if args.family == "poisson":
             if args.rate is None:
                 raise ValueError("--rate is required for the poisson family")

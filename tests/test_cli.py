@@ -3,6 +3,7 @@ byte-exact reproducibility."""
 
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +166,11 @@ class TestUserErrors:
                 "count_bool": ({"n_replicates": True, "window": window}, ["0,0.25"]),
                 "one_field": ({"n_replicates": 2, "window": window}, ["0,0.25", "1"]),
                 "blank_line": ({"n_replicates": 1, "window": window}, ["0,0.25", "", "0,0.5"]),
-                "nan_point": ({"n_replicates": 1, "window": window}, ["0,nan"])}
+                "nan_point": ({"n_replicates": 1, "window": window}, ["0,nan"]),
+                "three_fields": ({"n_replicates": 2, "window": window}, ["0,0.25", "1,0.5,0.75"]),
+                "id_not_int": ({"n_replicates": 2, "window": window}, ["0,0.25", "1.0,0.5"]),
+                "window_infinite": ({"n_replicates": 1, "window": [0.0, float("inf")]},
+                                    ["0,0.5", "0,1.5"])}
         for name, (meta, lines) in rows.items():
             paths[name] = tmp_path / f"{name}.csv"
             header = json.dumps(meta)
@@ -202,13 +207,22 @@ class TestUserErrors:
         ["pcf", "--batch", "{one_field}"],
         ["pcf", "--batch", "{blank_line}"],
         ["pcf", "--batch", "{nan_point}"],
+        ["pcf", "--batch", "{three_fields}"],
+        ["pcf", "--batch", "{id_not_int}"],
+        ["pcf", "--batch", "{window_infinite}"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=3",
+         "--lambdas", "0.1,0.1,0.1", "--window-from-kernel", "--reps", "2"],
+        ["sample", "--family", "poisson", "--rate", "5", "--lambdas", "0.5"],
+        ["sample", "--family", "poisson", "--rate", "5", "--window", "0", "inf"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
             "theory-without-sigma", "all-empty-batch", "zero-replicates",
             "replicate-id-too-large", "replicate-id-negative", "header-without-window",
             "replicate-count-not-int", "replicate-count-bool", "row-with-one-field",
-            "blank-row", "nan-point"])
+            "blank-row", "nan-point", "row-with-three-fields", "replicate-id-not-int",
+            "infinite-window-in-header", "lambdas-for-projection", "lambdas-for-poisson",
+            "infinite-window"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
@@ -216,6 +230,15 @@ class TestUserErrors:
         assert run(argv) == 2
         assert "error" in json.loads(capsys.readouterr().err)
         assert not out.exists()
+
+    def test_infinite_window_named_without_warning(self, batches, tmp_path, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["pcf", "--batch", str(batches["window_infinite"]),
+                        "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "window endpoints must be finite" in json.loads(capsys.readouterr().err)["error"]
 
     def test_poisson_mean_too_large(self, tmp_path, capsys, monkeypatch):
         # 5e9 expected points would need tens of GiB: refused before any draw

@@ -1,6 +1,9 @@
 """Point-process samplers: count laws, densities, dispersion direction,
 cardinality, and serialization."""
 
+import csv
+import io
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, norm
 
-from ppoptics import kernels, samplers
+from ppoptics import gaussian_field, kernels, samplers
 from ppoptics.samplers import CellGrid, PointConfiguration, RankLossError, Window
 
 
@@ -42,6 +45,11 @@ class TestPointConfiguration:
         c = PointConfiguration([0.25, 0.5], Window(0, 1)).translate(2.0)
         assert np.allclose(c.points, [2.25, 2.5])
         assert c.window == Window(2.0, 3.0)
+
+    @pytest.mark.parametrize("a, b", [(0, np.inf), (-np.inf, 1), (np.nan, 1), (0, np.nan)])
+    def test_window_needs_finite_endpoints(self, a, b):
+        with pytest.raises(ValueError, match="window endpoints must be finite"):
+            Window(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -193,6 +201,42 @@ class TestPermanental:
         counts = batch_counts(batch)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - scale * cov.at_zero * length) < 3 * stderr
+
+    def test_replicates_do_not_depend_on_block_size(self, monkeypatch):
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        w = Window(0, 1)
+        m = 16 * gaussian_field.embedding_spectrum(cov, 1024, 1 / 1024).size
+        # blocks of 3 for the 7 replicates, of 5 for the 23: the boundaries differ
+        monkeypatch.setattr(samplers, "_FIELD_BLOCK_BYTES", 3 * m)
+        few = samplers.sample_permanental_batch(cov, 25.0, w, 7, 11, nodes_per_unit=1024)
+        monkeypatch.setattr(samplers, "_FIELD_BLOCK_BYTES", 5 * m)
+        many = samplers.sample_permanental_batch(cov, 25.0, w, 23, 11, nodes_per_unit=1024)
+        assert len(few) == 7 and len(many) == 23
+        for a, b in zip(few, many):
+            assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_replicate_field_then_cox(self, seed):
+        # each replicate: its field from its own child generator, then sample_cox on it
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        w = Window(0.5, 1.25)
+        grid = CellGrid(w, 2048)
+        d = gaussian_field.embedding_spectrum(cov, grid.n, grid.cell)
+        m = d.size
+        want = []
+        for s in np.random.SeedSequence(seed).spawn(9):
+            rng = np.random.default_rng(s)
+            z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
+            field = (np.fft.ifft(np.sqrt(d) * z) * np.sqrt(m))[: grid.n]
+            want.append(samplers.sample_cox(np.abs(field) ** 2, grid, 40.0, rng))
+        got = samplers.sample_permanental_batch(cov, 40.0, w, 9, seed, nodes_per_unit=2048)
+        assert [len(c) for c in got] == [len(c) for c in want]
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
+
+    def test_negative_scale_rejected(self):
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        with pytest.raises(ValueError, match="scale"):
+            samplers.sample_permanental_batch(cov, -1.0, Window(0, 1), 2, 0)
 
 
 class TestProjectionDpp:
@@ -521,6 +565,67 @@ class TestSerialization:
         assert len(back) == 3
         assert np.array_equal(back[0].points, batch[0].points)
         assert len(back[1]) == 0
+
+    def test_save_writes_what_csv_writer_writes(self, tmp_path):
+        # the bytes the per-row csv.writer rendering gave: JSON line, then CRLF rows
+        w = Window(-1.5, 2.0)
+        batch = samplers.sample_poisson_batch(lambda t: np.full_like(t, 9.0), 9.0, w, 6, 4)
+        batch.insert(2, PointConfiguration([], w))
+        batch.append(PointConfiguration([-1.5, -0.0, 1e-300, 1 / 3, 2.0], w))
+        meta = {"family": "test", "seed": 4}
+        path = tmp_path / "batch.csv"
+        samplers.save_batch_csv(path, batch, meta)
+        header = dict(meta, window=[w.a, w.b], n_replicates=len(batch))
+        text = io.StringIO(newline="")
+        text.write("# ppoptics-batch " + json.dumps(header, sort_keys=True) + "\n")
+        writer = csv.writer(text)
+        writer.writerow(["replicate_id", "t"])
+        for r, config in enumerate(batch):
+            for t in config.points:
+                writer.writerow([r, repr(float(t))])
+        assert path.read_bytes() == text.getvalue().encode()
+
+    def test_load_accepts_lf_line_endings(self, tmp_path):
+        batch = self.make_batch()
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        samplers.save_batch_csv(crlf, batch, {"seed": 0})
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert b"\r" not in lf.read_bytes()
+        back, _ = samplers.load_batch_csv(lf)
+        assert [c.points.tolist() for c in back] == [c.points.tolist() for c in batch]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0.25", "1"], "line 4 has 1 fields, expected 2"),
+        (["0,0.25", "1,0.5,0.75", "1,0.5"], "line 4 has 3 fields, expected 2"),
+        (["0,0.25", "", "1,0.5"], "line 4 has 0 fields, expected 2"),
+        (["0,0.25", "0.5,0.5"], "invalid literal for int"),
+        (["0,0.25", "1,x"], "could not convert string to float"),
+        (["0,0.25", "2,0.5", "-1,0.5"], r"replicate id 2 outside \[0, 2\)"),
+        (["0,0.25", "-1,0.5"], r"replicate id -1 outside \[0, 2\)"),
+        # the first bad line is named even when a later line breaks the bulk parse
+        (["3,0.5", "0,0.25,1"], r"replicate id 3 outside \[0, 2\)"),
+    ])
+    def test_load_names_the_first_bad_row(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        header = json.dumps({"n_replicates": 2, "window": [0.0, 1.0]})
+        path.write_text("\n".join([f"# ppoptics-batch {header}", "replicate_id,t", *rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            samplers.load_batch_csv(path)
+
+    def test_load_without_replicates(self, tmp_path):
+        path = tmp_path / "none.csv"
+        header = json.dumps({"n_replicates": 0, "window": [0.0, 1.0]})
+        path.write_text(f"# ppoptics-batch {header}\nreplicate_id,t\n")
+        back, meta = samplers.load_batch_csv(path)
+        assert back == [] and meta["n_replicates"] == 0
+
+    def test_load_groups_rows_by_replicate(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        header = json.dumps({"n_replicates": 3, "window": [0.0, 1.0]})
+        rows = ["2,0.75", "0,0.5", "2,0.25", "0,0.125"]
+        path.write_text("\n".join([f"# ppoptics-batch {header}", "replicate_id,t", *rows]) + "\n")
+        back, _ = samplers.load_batch_csv(path)
+        assert [c.points.tolist() for c in back] == [[0.125, 0.5], [], [0.25, 0.75]]
 
     @settings(max_examples=50, deadline=None)
     @given(
