@@ -96,12 +96,23 @@ def hermite_functions(n: int, x) -> np.ndarray:
             "values there are flushed to 0",
             stacklevel=2,
         )
-    out = np.zeros((n, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x**2)
+    # in place, each row with the operations of pi^(-1/4) exp(-x^2/2),
+    # sqrt(2) x psi_0 or x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_(k-1)
+    # in the order they are written, so the values are those expressions'
+    out = np.empty((n, x.size))
+    np.multiply(x, x, out=out[0])
+    out[0] *= -0.5
+    np.exp(out[0], out=out[0])
+    out[0] *= np.pi ** -0.25
     if n > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
+        np.multiply(x, np.sqrt(2.0), out=out[1])
+        out[1] *= out[0]
+    buf = np.empty(x.size)
     for k in range(1, n - 1):
-        out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+        np.multiply(x, np.sqrt(2.0 / (k + 1)), out=buf)
+        buf *= out[k]
+        np.multiply(out[k - 1], np.sqrt(k / (k + 1.0)), out=out[k + 1])
+        np.subtract(buf, out[k + 1], out=out[k + 1])
     return out
 
 

@@ -90,12 +90,17 @@ class PointConfiguration:
     window: Window
 
     def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float).ravel())
+        # a copy: the configuration never shares the caller's array
+        pts = np.array(self.points, dtype=float).ravel()
+        # false at any NaN, which the sort then puts last
+        increasing = bool((pts[1:] > pts[:-1]).all())
+        if not increasing:
+            pts.sort()
         if pts.size:
             # written so that a NaN (sorted last) fails it
             if not (self.window.a <= pts[0] and pts[-1] <= self.window.b):
                 raise ValueError("points outside the window")
-            if (pts[1:] <= pts[:-1]).any():
+            if not increasing and (pts[1:] <= pts[:-1]).any():
                 raise ValueError("configuration must be simple (strictly increasing)")
         object.__setattr__(self, "points", pts)
 
@@ -318,7 +323,11 @@ def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
                 b = min(int(np.ceil(trace / np.mean(k[todo] - j))), _MAX_TRIES - tries)
                 tries += b
                 u, v = rng.random((2, todo.size, b))
-                idx = _inverse_cdf(cdf, cdf[-1], u)
+                # the search runs on sorted keys; the cells go back in proposal order
+                order = np.argsort(u, axis=None)
+                idx = np.empty(u.size, dtype=np.intp)
+                idx[order] = _inverse_cdf(cdf, cdf[-1], u.ravel()[order])
+                idx = idx.reshape(u.shape)
                 phi = features[idx]  # (todo, b, rank)
                 proj = phi @ conj_dirs[todo, :, :j]
                 # the directions live on the kept columns: only the norm needs the mask

@@ -110,6 +110,20 @@ class TestHermiteBasis:
         for k in range(n):
             assert rows[k].tobytes() == kernels.hermite_functions(k + 1, x)[k].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, kernels.HERMITE_MAX_MODES])
+    @pytest.mark.parametrize("size", [1, 3, 7, 1001])
+    def test_recurrence_is_the_textbook_expression(self, n, size):
+        # bit for bit, also on the odd tails that SIMD loops finish one by one
+        x = np.random.default_rng(size).uniform(-30.0, 30.0, size)
+        want = [np.pi ** -0.25 * np.exp(-0.5 * x**2)]
+        if n > 1:
+            want.append(np.sqrt(2.0) * x * want[0])
+        for k in range(1, n - 1):
+            want.append(
+                x * np.sqrt(2.0 / (k + 1)) * want[k] - np.sqrt(k / (k + 1.0)) * want[k - 1]
+            )
+        assert kernels.hermite_functions(n, x).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("n", [1, 4, 30])
     def test_length_is_the_rank(self, n):
         kern = kernels.hermite_projection_kernel(n)

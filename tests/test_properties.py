@@ -1,14 +1,17 @@
 """Property tests over drawn inputs: the occupation-law round trip, the
-Wick expansion against the exact Fock-space trace, and the sparse Fock-space
-oracle against its dense definition."""
+Wick expansion against the exact Fock-space trace, the sparse Fock-space
+oracle against its dense definition, and the batch-wide histograms against
+per-replicate `np.histogram`."""
 
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppoptics import builder, cli, fock
+from ppoptics import builder, cli, estimators, fock
 from ppoptics.builder import TargetSpectrum
+from ppoptics.samplers import PointConfiguration, Window
 
 EPS = np.finfo(float).eps
 
@@ -91,3 +94,101 @@ def test_sparse_oracle_matches_dense_definition(case, seed):
         # same trace taken over absolute values
         scale = np.trace(reduce(np.matmul, [abs(m) for m in dense_ops], abs(rho_dense)))
         assert abs(fock.expectation(rho, ops) - want) <= 1e-12 * scale
+
+
+def reference_pcf(batch, edges):
+    """The pcf estimate from one `triu_indices` and `np.histogram` per replicate."""
+    length = batch[0].window.length
+    reps = len(batch)
+    counts = np.empty((reps, len(edges) - 1))
+    total_points = 0
+    for i, config in enumerate(batch):
+        pts = config.points
+        total_points += pts.size
+        if pts.size < 2:
+            counts[i] = 0.0
+            continue
+        iu, ju = np.triu_indices(pts.size, k=1)
+        counts[i] = np.histogram(pts[ju] - pts[iu], edges)[0]
+    lam = total_points / (reps * length)
+    r1, r2 = edges[:-1], edges[1:]
+    norm = lam**2 * (length * (r2 - r1) - 0.5 * (r2**2 - r1**2))
+    g = counts.mean(axis=0) / norm
+    spread = counts.std(axis=0, ddof=1) if reps > 1 else np.zeros_like(norm)
+    return g, spread / np.sqrt(reps) / norm
+
+
+def reference_intensity(batch, edges):
+    """The intensity estimate from one `np.histogram` per replicate."""
+    widths = np.diff(edges)
+    counts = np.array([np.histogram(c.points, edges)[0] for c in batch], dtype=float)
+    rate = counts.mean(axis=0) / widths
+    spread = counts.std(axis=0, ddof=1) if len(batch) > 1 else np.zeros(len(widths))
+    return rate, spread / np.sqrt(len(batch)) / widths
+
+
+@st.composite
+def dyadic_batches(draw):
+    """A batch on a window whose points, and pcf edges, lie on a grid of step
+    2^-j: many distances equal an inner edge or the last one exactly.  Some
+    replicates are empty or hold one point; the last edge may be the window
+    length; the first edge may be above 0 (and bins may be empty)."""
+    j = draw(st.integers(0, 4))
+    steps = draw(st.integers(1, 40))
+    a = draw(st.integers(-16, 16)) / 2**j
+    w = Window(a, a + steps / 2**j)
+    ticks = st.sets(st.integers(0, steps), max_size=steps + 1)
+    batch = [
+        PointConfiguration(a + np.array(sorted(t), dtype=float) / 2**j, w)
+        for t in draw(st.lists(ticks, min_size=1, max_size=6))
+    ]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, steps - 1))
+        hi = draw(st.integers(lo + 1, steps))
+        edges = np.linspace(lo, hi, draw(st.integers(1, 8)) + 1) / 2**j
+    else:
+        edges = np.array(sorted(draw(st.lists(st.integers(0, steps), min_size=1, max_size=9))))
+        edges = edges / 2**j
+    return batch, edges
+
+
+@settings(deadline=None, max_examples=400)
+@given(dyadic_batches())
+def test_pcf_matches_per_replicate_histograms(case):
+    batch, edges = case
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not any(len(c) for c in batch):
+            with pytest.raises(ValueError, match="all-empty"):
+                estimators.estimate_pcf(batch, edges)
+            return
+        est = estimators.estimate_pcf(batch, edges)
+        g, stderr = reference_pcf(batch, edges)
+    assert np.array_equal(est.g_hat, g, equal_nan=True)
+    assert np.array_equal(est.stderr, stderr, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(dyadic_batches(), st.integers(-2, 1), st.integers(-1, 2), st.integers(1, 8))
+def test_intensity_matches_per_replicate_histograms(case, below, beyond, n_bins):
+    # edges that start or end inside the window or beyond it, and a count of bins
+    batch, _ = case
+    w = batch[0].window
+    quarter = w.length / 4
+    edges = np.linspace(w.a - below * quarter, w.b + beyond * quarter, n_bins + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for bins, want_edges in [(edges, edges), (n_bins, np.linspace(w.a, w.b, n_bins + 1))]:
+            got_edges, rate, stderr = estimators.estimate_intensity(batch, bins)
+            want_rate, want_stderr = reference_intensity(batch, want_edges)
+            assert np.array_equal(got_edges, want_edges)
+            assert np.array_equal(rate, want_rate, equal_nan=True)
+            assert np.array_equal(stderr, want_stderr, equal_nan=True)
+
+
+@pytest.mark.parametrize("edges", [[0.0, 0.2, 0.1], [0.3, 0.2], [0.0, 0.1, 0.1, 0.05, 0.2]])
+def test_decreasing_edges_rejected(edges):
+    w = Window(0.0, 1.0)
+    batch = [PointConfiguration([0.1, 0.2, 0.4], w), PointConfiguration([], w)]
+    with pytest.raises(ValueError, match="monotonically"):
+        estimators.estimate_pcf(batch, edges)
+    with pytest.raises(ValueError, match="monotonically"):
+        estimators.estimate_intensity(batch, edges)

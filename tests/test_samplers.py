@@ -41,6 +41,20 @@ class TestPointConfiguration:
         c = PointConfiguration([0.9, 0.1, 0.5], Window(0, 1))
         assert np.array_equal(c.points, [0.1, 0.5, 0.9])
 
+    @pytest.mark.parametrize("values", [[0.1, 0.5, 0.9], [0.9, 0.1, 0.5], [0.5]])
+    def test_does_not_share_the_input_array(self, values):
+        given = np.array(values)
+        c = PointConfiguration(given, Window(0, 1))
+        want = c.points.copy()
+        given[:] = 0.75
+        assert np.array_equal(c.points, want)
+        assert not np.shares_memory(c.points, given)
+
+    @pytest.mark.parametrize("values", [[np.nan], [0.1, np.nan], [np.nan, 0.1, 0.5], [0.1, 0.5, np.nan]])
+    def test_nan_is_outside_the_window(self, values):
+        with pytest.raises(ValueError, match="outside the window"):
+            PointConfiguration(values, Window(0, 1))
+
     def test_translate(self):
         c = PointConfiguration([0.25, 0.5], Window(0, 1)).translate(2.0)
         assert np.allclose(c.points, [2.25, 2.5])
