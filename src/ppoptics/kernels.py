@@ -98,7 +98,7 @@ def hermite_functions(n: int, x) -> np.ndarray:
         )
     # in place, each row with the operations of pi^(-1/4) exp(-x^2/2),
     # sqrt(2) x psi_0 or x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_(k-1)
-    # in the order they are written, so the values are those expressions'
+    # in the order they are written, so the rows equal those expressions bit for bit
     out = np.empty((n, x.size))
     np.multiply(x, x, out=out[0])
     out[0] *= -0.5
