@@ -8,7 +8,6 @@ that grounds them (`wick`, `fock`, `builder`).
 
 from .builder import (
     GrandCanonicalSpec,
-    TargetSpectrum,
     induced_kernel,
     levels_to_spectrum,
     log_partition_function,
@@ -44,7 +43,6 @@ from .samplers import (
     sample_fock_pp_batch,
     sample_permanental_batch,
     sample_poisson_batch,
-    validate_kernel,
 )
 from .wick import (
     Contraction,

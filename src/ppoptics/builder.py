@@ -4,10 +4,10 @@ energy levels and back.
 The mean occupation 1/(e^{beta(nu-zeta)} - eta) maps levels to kernel
 eigenvalues; inverting it realizes any admissible spectrum as a free-
 particle thermal state.  Includes the zero-temperature (projection)
-limit and measurement-basis rotations on discrete ground sets.
+limit and measurement-basis rotations on discrete ground sets.  Spectra
+are plain arrays; `SpectralKernel` checks that one defines a process.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,58 +41,18 @@ class GrandCanonicalSpec:
                 "(geometric sums diverge otherwise)"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"beta": self.beta, "zeta": self.zeta, "nu": self.nu.tolist(), "eta": self.eta},
-            sort_keys=True,
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GrandCanonicalSpec":
-        d = json.loads(text)
-        return cls(d["beta"], d["zeta"], np.asarray(d["nu"]), d["eta"])
-
-
-@dataclass(frozen=True)
-class TargetSpectrum:
-    """Kernel eigenvalues to realize; endpoints only through limits."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        object.__setattr__(self, "lambdas", lam)
-
-    def validate(self, eta: int):
-        lam = self.lambdas
-        if np.any(lam <= 0):
-            raise ValueError("target eigenvalues must be positive (0 only as a limit)")
-        if eta == -1 and np.any(lam >= 1):
-            raise ValueError(
-                "fermionic target eigenvalues must lie in (0, 1) (1 only as a limit)"
-            )
-
-    def to_json(self) -> str:
-        return json.dumps({"lambdas": self.lambdas.tolist()}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TargetSpectrum":
-        return cls(np.asarray(json.loads(text)["lambdas"]))
-
-
-def levels_to_spectrum(spec: GrandCanonicalSpec) -> TargetSpectrum:
+def levels_to_spectrum(spec: GrandCanonicalSpec) -> np.ndarray:
     """Mean occupations lambda_i = 1/(e^{beta(nu_i - zeta)} - eta)."""
     x = spec.beta * (spec.nu - spec.zeta)
     if spec.eta == -1:
-        lam = expit(-x)  # 1/(e^x + 1), stable at both ends
-    else:
-        with np.errstate(over="ignore"):
-            lam = np.where(x > 700, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700)))
-    return TargetSpectrum(lam)
+        return expit(-x)  # 1/(e^x + 1), stable at both ends
+    with np.errstate(over="ignore"):
+        return np.where(x > 700, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700)))
 
 
 def spectrum_to_levels(
-    target: TargetSpectrum, beta: float, zeta: float = 0.0, eta: int = -1
+    lambdas, beta: float, zeta: float = 0.0, eta: int = -1
 ) -> GrandCanonicalSpec:
     """Invert the occupation law: beta (nu - zeta) = log((1 + eta lambda)/lambda).
 
@@ -102,20 +62,23 @@ def spectrum_to_levels(
     """
     if eta not in (-1, 1):
         raise ValueError(f"eta must be +1 or -1, got {eta}")
-    target.validate(eta)
-    lam = target.lambdas
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if np.any(lam <= 0):
+        raise ValueError("target eigenvalues must be positive (0 only as a limit)")
+    if eta == -1 and np.any(lam >= 1):
+        raise ValueError("fermionic target eigenvalues must lie in (0, 1) (1 only as a limit)")
     x = np.log1p(eta * lam) - np.log(lam)
     return GrandCanonicalSpec(beta, zeta, zeta + x / beta, eta)
 
 
-def zero_temperature_spectrum(nu, zeta: float) -> TargetSpectrum:
+def zero_temperature_spectrum(nu, zeta: float) -> np.ndarray:
     """Fermionic beta -> infinity limit: fill every level below zeta.
 
     Endpoint eigenvalues {0, 1} are only reachable through this limit;
     the finite-beta inversion is singular there.
     """
     nu = np.asarray(nu, dtype=float)
-    return TargetSpectrum(np.where(nu < zeta, 1.0, 0.0))
+    return np.where(nu < zeta, 1.0, 0.0)
 
 
 def log_partition_function(spec: GrandCanonicalSpec) -> float:
@@ -135,18 +98,16 @@ def induced_kernel(spec: GrandCanonicalSpec, basis, window) -> SpectralKernel:
     """
     if len(basis) != spec.nu.size:
         raise ValueError("need exactly one basis function per level")
-    lam = levels_to_spectrum(spec).lambdas
-    return SpectralKernel(lam, basis, spec.eta, tuple(window))
+    return SpectralKernel(levels_to_spectrum(spec), basis, spec.eta, tuple(window))
 
 
-def rotate_measurement_basis(kernel, v) -> np.ndarray:
+def rotate_measurement_basis(lam, v) -> np.ndarray:
     """Kernel matrix V diag(lambda) V^dag after a change of measurement basis.
 
-    `kernel` is a SpectralKernel or a plain eigenvalue array on a
-    discrete ground set; `v` must be unitary.  The spectrum and trace
-    are preserved exactly.
+    `lam` holds the kernel eigenvalues on a discrete ground set; `v` must
+    be unitary.  The spectrum and trace are preserved exactly.
     """
-    lam = np.asarray(getattr(kernel, "eigenvalues", kernel), dtype=float)
+    lam = np.asarray(lam, dtype=float)
     v = np.asarray(v, dtype=complex)
     n = lam.size
     if v.shape != (n, n):

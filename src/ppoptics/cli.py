@@ -7,6 +7,7 @@ command reproduces the file byte-exactly.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,13 +86,15 @@ def cmd_sample(args) -> int:
             if mixture:
                 meta["lambdas"] = lambdas
             kern = kernels.kernel_from_spec(spec)
-            if mixture:
-                if len(lambdas) != kern.rank:
-                    raise ValueError("need one lambda per kernel eigenvalue")
-                kern = kernels.SpectralKernel(lambdas, kern.basis, -1, kern.window)
+            if mixture and len(lambdas) != kern.rank:
+                raise ValueError("need one lambda per kernel eigenvalue")
             if args.window_from_kernel:
+                # recorded before the mixture kernel checks its eigenvalues, so
+                # that an error reports the full configuration
                 w = Window(*kern.window)
                 meta["window_from_kernel"] = True
+            if mixture:
+                kern = kernels.SpectralKernel(lambdas, kern.basis, -1, kern.window)
             batch = samplers.sample_dpp_mixture_batch(
                 kern, w, args.reps, args.seed, args.nodes_per_unit
             )
@@ -175,14 +178,15 @@ def _check(name, value, tol) -> dict:
             "pass": bool(value <= tol)}
 
 
-def random_gaussian_case(rng, bosonic_gap=(4.5, 7.0)):
-    """A random grand-canonical state plus an even ladder-operator product.
+# range of the bosonic level gaps of random_gaussian_case: large enough that the
+# cutoff-8 truncation stays below the 1e-9 Wick verification tolerance.  The worst
+# case, a a a a^dag a^dag a^dag on one mode, deviates 1.3e-10 relative at gap 4.5
+# (2.6e-9 at 4.0, 5.1e-8 at 3.5).
+BOSONIC_GAP = (4.5, 7.0)
 
-    Bosonic level gaps are kept large enough that the cutoff-8
-    truncation stays below the 1e-9 Wick verification tolerance.  The
-    worst case, a a a a^dag a^dag a^dag on one mode, deviates 1.3e-10
-    relative at gap 4.5 (2.6e-9 at 4.0, 5.1e-8 at 3.5).
-    """
+
+def random_gaussian_case(rng):
+    """A random grand-canonical state plus an even ladder-operator product."""
     eta = -1 if rng.random() < 0.55 else 1
     if eta == -1:
         spec = fock.ModeSpec(int(rng.integers(2, 7)), 1, -1)
@@ -193,7 +197,7 @@ def random_gaussian_case(rng, bosonic_gap=(4.5, 7.0)):
         spec = fock.ModeSpec(int(rng.integers(1, 4)), 8, 1)
         beta = 1.0
         zeta = 0.0
-        nu = rng.uniform(*bosonic_gap, spec.n_modes)
+        nu = rng.uniform(*BOSONIC_GAP, spec.n_modes)
     length = int(rng.choice([2, 4, 6]))
     ops = [
         ("create" if rng.random() < 0.5 else "annihilate", int(rng.integers(spec.n_modes)))
@@ -271,8 +275,8 @@ def suite_builder(seed: int = 0) -> dict:
     # round trip lambda -> nu -> lambda for both statistics
     for eta in (-1, 1):
         lam = rng.uniform(0.01, 0.99, 50) if eta == -1 else rng.uniform(0.05, 5.0, 50)
-        spec = builder.spectrum_to_levels(builder.TargetSpectrum(lam), beta=1.3, eta=eta)
-        back = builder.levels_to_spectrum(spec).lambdas
+        spec = builder.spectrum_to_levels(lam, beta=1.3, eta=eta)
+        back = builder.levels_to_spectrum(spec)
         checks.append(_check(f"round_trip_eta_{eta:+d}", np.abs(back - lam).max(), 1e-12))
 
     # closed-form log partition function against the exact engine trace
@@ -369,7 +373,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ppoptics",
         description="Point-process sampling, estimation, and verification runs",
@@ -397,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--width", type=float, default=0.15, help="fock envelope width")
     p_sample.add_argument("--nodes-per-unit", type=int, default=4096)
     p_sample.add_argument("--out", required=True)
-    p_sample.set_defaults(func=cmd_sample)
 
     p_pcf = sub.add_parser("pcf", help="pair-correlation estimate of a sampled batch")
     p_pcf.add_argument("--batch", required=True)
@@ -405,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pcf.add_argument("--rmax", type=float)
     p_pcf.add_argument("--theory", help="'poisson' or 'permanental:sigma=...'")
     p_pcf.add_argument("--out", required=True)
-    p_pcf.set_defaults(func=cmd_pcf)
 
     p_verify = sub.add_parser("verify", help="run a property verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
@@ -414,14 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=8)
     p_verify.add_argument("--reps", type=int, default=5000)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call, not stored in the cached parser
+    command = {"sample": cmd_sample, "pcf": cmd_pcf, "verify": cmd_verify}[args.command]
+    return command(args)
 
 
 if __name__ == "__main__":

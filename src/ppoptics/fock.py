@@ -202,8 +202,8 @@ def expectation(rho: DensityMatrix, ops) -> complex:
     return complex(product.trace())
 
 
-def mean_occupation(rho: DensityMatrix, spec: ModeSpec, mode: int) -> float:
-    n_op = [ladder(spec, mode, "create"), ladder(spec, mode, "annihilate")]
+def mean_occupation(rho: DensityMatrix, mode: int) -> float:
+    n_op = [ladder(rho.spec, mode, "create"), ladder(rho.spec, mode, "annihilate")]
     return float(np.real(expectation(rho, n_op)))
 
 
@@ -211,11 +211,15 @@ def mean_occupation(rho: DensityMatrix, spec: ModeSpec, mode: int) -> float:
 # Coherent states (single mode)
 
 
-def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-8) -> np.ndarray:
+# largest probability mass a truncated coherent state may discard
+COHERENT_TAIL_TOL = 1e-8
+
+
+def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated canonical coherent state, renormalized.
 
     Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) up to the cutoff; the
-    discarded tail mass must stay below tail_tol.
+    discarded tail mass must stay below COHERENT_TAIL_TOL.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
@@ -224,9 +228,9 @@ def coherent_state(alpha: complex, cutoff: int, tail_tol: float = 1e-8) -> np.nd
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > tail_tol:
+    if tail > COHERENT_TAIL_TOL:
         raise ValueError(
-            f"truncation tail {tail:.3e} exceeds {tail_tol:.1e}; raise the cutoff"
+            f"truncation tail {tail:.3e} exceeds {COHERENT_TAIL_TOL:.1e}; raise the cutoff"
         )
     return amps / np.linalg.norm(amps)
 
@@ -286,17 +290,18 @@ def wick_verify(spec: ModeSpec, nu, beta: float, zeta: float, op_sequence) -> Wi
     """Exact trace of a ladder-operator product vs its Wick expansion.
 
     `op_sequence` lists (kind, mode) pairs in operator order; the pair
-    table fed to the expansion is built from two-operator traces under
-    the same Gaussian state.
+    table fed to the expansion holds the traces tr(rho op_i op_j) under
+    the same Gaussian state, with rho op_i formed once per i.
     """
     ops = [ladder(spec, mode, kind) for kind, mode in op_sequence]
     rho = gaussian_density_matrix(spec, nu, beta, zeta)
     exact = expectation(rho, ops)
     n = len(ops)
     table = np.zeros((n, n), dtype=complex)
-    for i in range(n):
+    for i in range(n - 1):
+        left = rho.matrix @ ops[i].matrix
         for j in range(i + 1, n):
-            table[i, j] = expectation(rho, [ops[i], ops[j]])
+            table[i, j] = (left @ ops[j].matrix).trace()
     predicted = wick_expand(table, spec.eta)
     return WickCheck(
         tuple((k, m) for k, m in op_sequence),

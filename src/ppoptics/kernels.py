@@ -6,7 +6,8 @@ pair-correlation formulas for permanental and determinantal processes.
 
 A spectral kernel carries its eigenfunctions as one vectorised feature
 map, `basis(x) -> (rank, len(x))`; for Hermite kernels that is a single
-pass of the three-term recurrence (`HermiteBasis`).  Only spectral
+pass of the three-term recurrence (`HermiteBasis`), and a kernel whose
+spectrum defines no point process cannot be constructed.  Only spectral
 kernels have a registry name (`kernel_from_spec`), since only they can be
 sampled from the command line.
 """
@@ -20,6 +21,8 @@ import numpy as np
 
 HERMITE_MAX_MODES = 200
 HERMITE_SAFE_RANGE = 40.0  # |x| beyond which the recurrence start underflows
+# rounding slack on the existence bounds of a kernel spectrum
+_SPECTRUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,16 +43,21 @@ class StationaryCovariance:
         return float(np.real(self.c0(np.asarray(0.0))))
 
 
-def lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
-    """Exponential envelope times a cosine carrier: exp(-|tau|/sigma) cos(omega tau)."""
+def _check_lorentz(sigma: float, omega: float):
+    """sigma > 0, and a warning when the carrier is not separated from the envelope."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if omega < 1.0 / sigma:
         warnings.warn(
             f"carrier omega={omega} is not well separated from the envelope "
             f"rate 1/sigma={1/sigma:g}; the quasi-monochromatic picture degrades",
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
+    """Exponential envelope times a cosine carrier: exp(-|tau|/sigma) cos(omega tau)."""
+    _check_lorentz(sigma, omega)
 
     def c0(tau):
         return np.exp(-np.abs(tau) / sigma) * np.cos(omega * tau)
@@ -63,14 +71,7 @@ def analytic_lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
     The factor 2 and the phase follow from taking the analytic signal of
     a stationary process with a slowly varying envelope (Bedrosian).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if omega < 1.0 / sigma:
-        warnings.warn(
-            f"carrier omega={omega} is not well separated from the envelope "
-            f"rate 1/sigma={1/sigma:g}",
-            stacklevel=2,
-        )
+    _check_lorentz(sigma, omega)
 
     def c0(tau):
         return 2.0 * np.exp(-np.abs(tau) / sigma) * np.exp(1j * omega * tau)
@@ -137,7 +138,9 @@ class SpectralKernel:
     the (rank, len(x)) array of phi_i(x), and `len(basis)` is the rank.
     The phi_i are orthonormal on `window` with respect to the Lebesgue
     reference measure; eta = +1 flags a permanental kernel, -1 a
-    determinantal one.
+    determinantal one.  A kernel that exists defines its process
+    (Macchi 1975): every lambda is finite and >= 0, and <= 1 when
+    eta = -1 (Macchi-Soshnikov), up to _SPECTRUM_TOL of rounding.
     """
 
     eigenvalues: np.ndarray
@@ -146,9 +149,18 @@ class SpectralKernel:
     window: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+        lam = np.asarray(self.eigenvalues, dtype=float)
+        object.__setattr__(self, "eigenvalues", lam)
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 or -1, got {self.eta}")
+        upper = 1.0 if self.eta == -1 else np.inf
+        bad = ~(np.isfinite(lam) & (lam >= -_SPECTRUM_TOL) & (lam <= upper + _SPECTRUM_TOL))
+        if bad.any():
+            i = int(bad.argmax())
+            bound = "[0, 1] (Macchi-Soshnikov)" if self.eta == -1 else "[0, inf)"
+            raise ValueError(
+                f"eigenvalue {i} = {float(lam[i])} lies outside {bound} for eta={self.eta}"
+            )
         if len(self.basis) != len(self.eigenvalues):
             raise ValueError("one basis function per eigenvalue required")
         a, b = self.window

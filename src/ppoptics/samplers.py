@@ -113,33 +113,6 @@ class PointConfiguration:
         )
 
 
-@dataclass(frozen=True)
-class KernelValidityReport:
-    eta: int
-    valid: bool
-    violations: tuple  # (index, eigenvalue, reason)
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-# rounding slack on the existence bounds of a kernel spectrum
-_SPECTRUM_TOL = 1e-12
-
-
-def validate_kernel(kernel: SpectralKernel) -> KernelValidityReport:
-    """Existence check on the spectrum: lambda finite and >= 0, and lambda <= 1 for eta=-1."""
-    violations = []
-    for i, lam in enumerate(kernel.eigenvalues):
-        if not np.isfinite(lam):
-            violations.append((i, float(lam), "non-finite eigenvalue"))
-        elif lam < -_SPECTRUM_TOL:
-            violations.append((i, float(lam), "negative eigenvalue"))
-        elif kernel.eta == -1 and lam > 1.0 + _SPECTRUM_TOL:
-            violations.append((i, float(lam), "exceeds the Macchi-Soshnikov bound"))
-    return KernelValidityReport(kernel.eta, not violations, tuple(violations))
-
-
 def _child_rngs(seed, reps: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(reps)]
 
@@ -422,16 +395,14 @@ def sample_dpp_mixture_batch(
 ) -> list:
     """DPP samples via the Bernoulli mixture over projection kernels.
 
-    Each replicate keeps eigenfunction i with probability lambda_i and
-    samples the projection onto the kept ones.  A projection kernel (every
+    Each replicate keeps eigenfunction i with probability lambda_i, which
+    a determinantal `SpectralKernel` holds in [0, 1], and samples the
+    projection onto the kept ones.  A projection kernel (every
     lambda 0 or 1) keeps the same functions in every replicate, so each
     sample has exactly as many points as it has unit eigenvalues.
     """
     if kernel.eta != -1:
         raise ValueError("the Bernoulli mixture construction is determinantal (eta=-1)")
-    report = validate_kernel(kernel)
-    if not report:
-        raise ValueError(f"kernel fails the validity check: {report.violations}")
     grid = CellGrid(w, nodes_per_unit)
     return _hkpv_chain(*_projection_features(kernel, grid), grid, reps, seed)
 

@@ -9,7 +9,8 @@ enumerations vectorised in numpy blocks: sign patterns of up to 2^12
 columns at a time for the permanent, one block of (n-1)! permutations
 per placement of the last index for the alpha-determinant.  Their caps,
 PERMANENT_MAX_DIM = 24 and ALPHA_DET_MAX_DIM = 10, keep a call near one
-second or below.
+second or below, as does CONTRACTION_MAX_ORDER = 14 for the (n-1)!!
+contraction objects: 135,135 of them, 45 MB; order 16 costs 15x that.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 PERMANENT_MAX_DIM = 24
 ALPHA_DET_MAX_DIM = 10
-CONTRACTION_MAX_ORDER = 16
+CONTRACTION_MAX_ORDER = 14
 _GLYNN_BLOCK_BITS = 12  # sign patterns enumerated per numpy block: 2^12
 
 
@@ -134,16 +135,6 @@ def alpha_determinant(m, alpha: float) -> complex:
     return complex(total)
 
 
-def _permutation_parity(perm) -> int:
-    """Signature (+1/-1) of a permutation given as a sequence of values."""
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
 @dataclass(frozen=True)
 class Contraction:
     """A pairing of {0..order-1} with the parity of the induced permutation.
@@ -167,7 +158,10 @@ def enumerate_contractions(n: int) -> list:
     """All (n-1)!! contractions of order n.
 
     Constructive scheme: repeatedly pair the smallest unpaired index
-    with every remaining index.  Rejects odd or too-large n.
+    with every remaining index.  Pairing it with the k-th remaining one
+    (k = 0, 1, ...) moves that index across k others in the flattened
+    sequence, so the parity picks up a factor (-1)^k.  Rejects odd n
+    and n above CONTRACTION_MAX_ORDER.
     """
     if n <= 0 or n % 2:
         raise ValueError(f"contraction order must be even and positive, got {n}")
@@ -176,16 +170,15 @@ def enumerate_contractions(n: int) -> list:
 
     out = []
 
-    def pair_up(remaining, acc):
+    def pair_up(remaining, acc, parity):
         if not remaining:
-            flat = [i for p in acc for i in p]
-            out.append(Contraction(n, tuple(acc), _permutation_parity(flat)))
+            out.append(Contraction(n, tuple(acc), parity))
             return
         first, rest = remaining[0], remaining[1:]
         for k, partner in enumerate(rest):
-            pair_up(rest[:k] + rest[k + 1:], acc + [(first, partner)])
+            pair_up(rest[:k] + rest[k + 1:], acc + [(first, partner)], parity * (-1) ** k)
 
-    pair_up(list(range(n)), [])
+    pair_up(list(range(n)), [], 1)
     return out
 
 

@@ -1,7 +1,6 @@
 """Command-line surface: sampling runs, pcf gating, verify suites,
 byte-exact reproducibility."""
 
-import inspect
 import json
 import warnings
 
@@ -253,6 +252,21 @@ class TestUserErrors:
         assert "error" in json.loads(capsys.readouterr().err)
         assert not out.exists()
 
+    def test_mixture_eigenvalue_above_one(self, tmp_path, capsys):
+        # refused when the kernel is built, with the configuration resolved so far
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(["sample", "--family", "dpp-mixture", "--kernel", "hermite:N=2",
+                    "--lambdas", "1.5,0.5", "--window-from-kernel", "--out", str(out)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["config"] == {
+            "family": "dpp-mixture", "seed": 0, "command": "sample",
+            "kernel": {"name": "hermite", "params": {"N": 2.0}}, "lambdas": [1.5, 0.5],
+            "window_from_kernel": True,
+        }
+        assert "eigenvalue 0 = 1.5 lies outside [0, 1]" in report["error"]
+        assert not out.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["ccr", "coherent", "builder"])
@@ -273,7 +287,7 @@ class TestVerify:
 
     def test_wick_case_worst_boson_at_lower_gap(self):
         # three quanta piled on one mode probe the cutoff-8 truncation hardest
-        gap = inspect.signature(cli.random_gaussian_case).parameters["bosonic_gap"].default[0]
+        gap = cli.BOSONIC_GAP[0]
         ops = [("annihilate", 0)] * 3 + [("create", 0)] * 3
         check = fock.wick_verify(fock.ModeSpec(1, 8, 1), np.array([gap]), 1.0, 0.0, ops)
         assert check.deviation / (1.0 + abs(check.exact)) < 1e-9

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppoptics import builder, cli, estimators, fock
-from ppoptics.builder import TargetSpectrum
 from ppoptics.samplers import PointConfiguration, Window
 
 EPS = np.finfo(float).eps
@@ -30,8 +29,8 @@ def occupation_cases(draw):
 @given(occupation_cases())
 def test_spectrum_levels_round_trip(case):
     lam, beta, zeta, eta = case
-    spec = builder.spectrum_to_levels(TargetSpectrum(lam), beta=beta, zeta=zeta, eta=eta)
-    back = builder.levels_to_spectrum(spec).lambdas
+    spec = builder.spectrum_to_levels(lam, beta=beta, zeta=zeta, eta=eta)
+    back = builder.levels_to_spectrum(spec)
     # x = beta (nu - zeta) carries rounding of order eps (beta |zeta| + |x|), and
     # d(log lambda)/dx = -(1 + eta lambda); the final rounding adds eps lambda
     x = beta * (spec.nu - zeta)

@@ -484,9 +484,8 @@ class TestDppMixture:
         self.assert_poisson_binomial_counts([0.1, 0.9, 1.0, 0.0, 0.5], seed)
 
     def test_invalid_spectrum_rejected(self):
-        kern = self.make_kernel([1.2, 0.5])
-        with pytest.raises(ValueError, match="validity"):
-            samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), 1, 0)
+        with pytest.raises(ValueError, match="Macchi-Soshnikov"):
+            self.make_kernel([1.2, 0.5])
 
 
 class TestFockPp:
@@ -532,33 +531,31 @@ class TestFockPp:
 
 
 class TestValidateKernel:
+    """A spectral kernel checks at construction that its spectrum defines a process."""
+
     def base(self, lams, eta):
         basis = kernels.hermite_projection_kernel(len(lams)).basis
         return kernels.SpectralKernel(lams, basis, eta, (-10, 10))
 
     def test_valid_determinantal(self):
-        report = samplers.validate_kernel(self.base([0.5, 1.0, 0.0], -1))
-        assert report.valid and not report.violations
+        assert list(self.base([0.5, 1.0, 0.0], -1).eigenvalues) == [0.5, 1.0, 0.0]
 
     def test_macchi_soshnikov_violation(self):
-        report = samplers.validate_kernel(self.base([1.2, 0.5], -1))
-        assert not report.valid
-        assert report.violations[0][0] == 0
+        with pytest.raises(ValueError, match=r"eigenvalue 0 = 1\.2 lies outside \[0, 1\]"):
+            self.base([1.2, 0.5], -1)
 
     def test_permanental_allows_large_eigenvalues(self):
-        report = samplers.validate_kernel(self.base([3.7, 0.2], +1))
-        assert report.valid
+        assert list(self.base([3.7, 0.2], +1).eigenvalues) == [3.7, 0.2]
 
     def test_negative_eigenvalue_flagged(self):
-        report = samplers.validate_kernel(self.base([-0.1, 0.5], +1))
-        assert not report.valid
+        with pytest.raises(ValueError, match=r"eigenvalue 0 = -0\.1 lies outside \[0, inf\)"):
+            self.base([-0.1, 0.5], +1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("eta", [-1, 1])
     def test_non_finite_eigenvalue_flagged(self, bad, eta):
-        report = samplers.validate_kernel(self.base([0.5, bad, 0.5], eta))
-        assert not report.valid
-        assert [v[0] for v in report.violations] == [1]
+        with pytest.raises(ValueError, match=f"eigenvalue 1 = {bad} lies outside"):
+            self.base([0.5, bad, 0.5], eta)
 
 
 class TestSerialization:

@@ -203,6 +203,13 @@ class TestAlphaDeterminant:
             assert abs(wick.alpha_determinant(m, 1.0) - per) <= 1e-12 * max(1, abs(per)), seed
 
 
+def inversion_parity(seq):
+    """Oracle: signature of a permutation by counting its inversions."""
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
 def exhaustive_contractions(n):
     """Oracle: filter all permutations by the ordering constraints."""
     found = {}
@@ -212,13 +219,7 @@ def exhaustive_contractions(n):
         firsts = [sigma[2 * i] for i in range(n // 2)]
         if firsts != sorted(firsts):
             continue
-        inversions = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
-        found[sigma] = -1 if inversions % 2 else 1
+        found[sigma] = inversion_parity(sigma)
     return found
 
 
@@ -250,10 +251,19 @@ class TestContractions:
         want = math.prod(range(1, n, 2))  # (n-1)!!
         assert len(wick.enumerate_contractions(n)) == want
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_parity_is_signature_of_flattened_pairs(self, n):
+        for c in wick.enumerate_contractions(n):
+            assert c.parity == inversion_parity([i for p in c.pairs for i in p]), c.pairs
+
     @pytest.mark.parametrize("bad", [0, 3, 7, 18])
     def test_rejects_bad_orders(self, bad):
         with pytest.raises(ValueError):
             wick.enumerate_contractions(bad)
+
+    def test_rejects_order_above_cap(self):
+        with pytest.raises(ValueError, match="limited"):
+            wick.enumerate_contractions(wick.CONTRACTION_MAX_ORDER + 2)
 
 
 class TestWickExpand:
