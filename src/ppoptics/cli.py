@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import ks_2samp, poisson as poisson_dist
 
 from . import builder, estimators, fock, kernels, samplers
+from .gaussian_field import EmbeddingError
 from .samplers import Window
 
 DEFAULT_OUTDIR_ENV = "PPOPTICS_OUTDIR"
@@ -74,6 +75,7 @@ def cmd_sample(args) -> int:
         elif args.family == "permanental":
             meta.update({"sigma": args.sigma, "omega": args.omega, "scale": args.scale})
             cov = kernels.analytic_lorentz_kernel(args.sigma, args.omega)
+            meta["nodes_per_unit"] = args.nodes_per_unit
             batch = samplers.sample_permanental_batch(
                 cov, args.scale, w, args.reps, args.seed, args.nodes_per_unit
             )
@@ -95,11 +97,13 @@ def cmd_sample(args) -> int:
                 meta["window_from_kernel"] = True
             if mixture:
                 kern = kernels.SpectralKernel(lambdas, kern.basis, -1, kern.window)
+            meta["nodes_per_unit"] = args.nodes_per_unit
             batch = samplers.sample_dpp_mixture_batch(
                 kern, w, args.reps, args.seed, args.nodes_per_unit
             )
         elif args.family == "fock":
-            meta.update({"k": args.k, "center": args.center, "width": args.width})
+            meta.update({"k": args.k, "center": args.center, "width": args.width,
+                         "nodes_per_unit": args.nodes_per_unit})
             c, s = args.center, args.width
             batch = samplers.sample_fock_pp_batch(
                 lambda t: np.exp(-((t - c) ** 2) / (4.0 * s**2)),
@@ -111,10 +115,13 @@ def cmd_sample(args) -> int:
             )
         else:
             raise ValueError(f"unknown family {args.family!r}")
-    except ValueError as exc:
+    except (ValueError, EmbeddingError) as exc:
         return _json_error({"error": str(exc), "config": meta})
     out = _resolve_out(args.out)
-    samplers.save_batch_csv(out, batch, meta)
+    try:
+        samplers.save_batch_csv(out, batch, meta)
+    except OSError as exc:
+        return _json_error({"error": str(exc), "config": meta})
     counts = [len(c) for c in batch]
     print(f"wrote {out}: {len(batch)} replicates, mean count {np.mean(counts):.3f}")
     return 0
@@ -131,6 +138,8 @@ def _theory_curve(theory: str, r_mid: np.ndarray) -> np.ndarray:
     sigma = spec["params"].get("sigma")
     if spec["name"] != "permanental" or sigma is None:
         raise ValueError(f"unknown theory {theory!r} (use 'poisson' or 'permanental:sigma=...')")
+    if not sigma > 0:
+        raise ValueError(f"theory sigma must be positive, got {sigma}")
     cov = kernels.analytic_lorentz_kernel(sigma, spec["params"].get("omega", 8.0 / sigma))
     c0 = cov.at_zero
     return np.array([kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid])
@@ -143,13 +152,15 @@ def cmd_pcf(args) -> int:
     try:
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
+        if args.rmax is not None and not 0 < args.rmax < np.inf:
+            raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
         batch, meta = samplers.load_batch_csv(batch_path)
         if not batch:
             raise ValueError(f"batch file {batch_path} has no replicates")
         rmax = args.rmax if args.rmax is not None else batch[0].window.length / 4.0
         est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
         g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _json_error({"error": str(exc)})
     header = "# ppoptics-pcf " + json.dumps(
         {"batch": os.path.basename(batch_path), "batch_meta": meta, "bins": args.bins,
@@ -157,7 +168,10 @@ def cmd_pcf(args) -> int:
         sort_keys=True,
     )
     out = _resolve_out(args.out)
-    estimators.pcf_to_csv(out, est, g_theory, header)
+    try:
+        estimators.pcf_to_csv(out, est, g_theory, header)
+    except OSError as exc:
+        return _json_error({"error": str(exc)})
     if g_theory is None:
         print(f"wrote {out}")
         return 0
@@ -217,13 +231,7 @@ def suite_wick(seed: int = 0, cases: int = 60) -> dict:
         worst = max(worst, rel)
         results.append(check.to_json_dict())
     checks = [_check("max_relative_wick_deviation", worst, 1e-9)]
-    return {
-        "suite": "wick",
-        "config": {"seed": seed, "cases": cases},
-        "checks": checks,
-        "cases": results,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return {"config": {"seed": seed, "cases": cases}, "checks": checks, "cases": results}
 
 
 def suite_ccr(seed: int = 0) -> dict:
@@ -237,11 +245,16 @@ def suite_ccr(seed: int = 0) -> dict:
         # truncation identity: the top layer deviation equals cutoff+1
         _check("boson_top_layer_vs_identity", abs(bose["max_top_layer_dev"] - 9.0), 1e-12),
     ]
-    return {"suite": "ccr", "config": {"seed": seed}, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return {"config": {"seed": seed}, "checks": checks}
 
 
-def suite_coherent(alpha: complex = 1.5, cutoff: int = 40) -> dict:
+# the coherent amplitude and Fock cutoff of the coherent suite
+COHERENT_ALPHA = 1.5
+COHERENT_CUTOFF = 40
+
+
+def suite_coherent() -> dict:
+    alpha, cutoff = COHERENT_ALPHA, COHERENT_CUTOFF
     state = fock.coherent_state(alpha, cutoff)
     mean = abs(alpha) ** 2
     ns = np.arange(cutoff + 1)
@@ -260,12 +273,8 @@ def suite_coherent(alpha: complex = 1.5, cutoff: int = 40) -> dict:
         _check("displacement_action_dev_large", disp_large["action_dev"], 1e-8),
         _check("displacement_vacuum_dev", disp_small["vacuum_dev"], 1e-8),
     ]
-    return {
-        "suite": "coherent",
-        "config": {"alpha": [np.real(alpha), np.imag(alpha)], "cutoff": cutoff},
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return {"config": {"alpha": [np.real(alpha), np.imag(alpha)], "cutoff": cutoff},
+            "checks": checks}
 
 
 def suite_builder(seed: int = 0) -> dict:
@@ -312,8 +321,7 @@ def suite_builder(seed: int = 0) -> dict:
     checks.append(_check("co_occurrence_determinant_invariance", worst_det, 1e-12))
     checks.append(_check("trace_invariance", worst_trace, 1e-12))
 
-    return {"suite": "builder", "config": {"seed": seed}, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return {"config": {"seed": seed}, "checks": checks}
 
 
 def gue_eigenvalues(n: int, reps: int, seed) -> np.ndarray:
@@ -331,19 +339,16 @@ def gue_eigenvalues(n: int, reps: int, seed) -> np.ndarray:
 
 
 def suite_gue(n: int = 8, reps: int = 5000, seed: int = 0) -> dict:
-    eigs = gue_eigenvalues(n, reps, seed)
+    # the kernel first: it refuses an n outside 1..HERMITE_MAX_MODES before
+    # any (reps, n, n) matrices are drawn
     kern = kernels.hermite_projection_kernel(n)
+    eigs = gue_eigenvalues(n, reps, seed)
     w = Window(*kern.window)
     batch = samplers.sample_dpp_mixture_batch(kern, w, reps, seed + 1)
     pooled = np.concatenate([c.points for c in batch])
     ks = float(ks_2samp(eigs, pooled).statistic)
     checks = [_check("ks_distance_gue_vs_hermite_dpp", ks, 0.02)]
-    return {
-        "suite": "gue",
-        "config": {"n": n, "reps": reps, "seed": seed},
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return {"config": {"n": n, "reps": reps, "seed": seed}, "checks": checks}
 
 
 SUITES = {
@@ -356,11 +361,25 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    report = SUITES[args.suite](args)
+    """Run one suite; its `config` and `checks` (plus wick's `cases`) make the
+    report, with the suite name and the overall verdict added here."""
+    try:
+        if args.cases < 1:
+            raise ValueError(f"--cases must be at least 1, got {args.cases}")
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
+        report = SUITES[args.suite](args)
+    except ValueError as exc:
+        return _json_error({"error": str(exc)})
+    report["suite"] = args.suite
+    report["pass"] = all(c["pass"] for c in report["checks"])
     text = json.dumps(report, sort_keys=True, indent=2, default=float)
     if args.out:
-        with open(_resolve_out(args.out), "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(_resolve_out(args.out), "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _json_error({"error": str(exc)})
     else:
         print(text)
     for check in report["checks"]:

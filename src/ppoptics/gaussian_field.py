@@ -82,26 +82,21 @@ def embedding_spectrum(cov: StationaryCovariance, n: int, dt: float) -> np.ndarr
     return d
 
 
-def _embedded_complex_sample(root_d: np.ndarray, rngs) -> np.ndarray:
-    """Complex fields on the whole circulant from the square roots of its spectrum,
-    one row per generator in `rngs`.
+def _embedded_complex_sample(root_d: np.ndarray, rng) -> np.ndarray:
+    """A complex field on the whole circulant from the square roots of its spectrum.
 
-    Row r is root_d * (a + i b) / sqrt(2), with a and then b the m standard
-    normals generator r draws, so each row depends on its own generator only.
-    The row is built in place with the rounding of that complex expression
-    (numpy divides a complex array by sqrt(2) as a multiply by 1/sqrt(2)),
-    and one inverse FFT runs over the block.
+    The field is the inverse FFT of root_d * (a + i b) / sqrt(2), with a and
+    then b the m standard normals `rng` draws.  It is built in place with the
+    rounding of that complex expression (numpy divides a complex array by
+    sqrt(2) as a multiply by 1/sqrt(2)).
     """
     m = root_d.size
-    z = np.empty((len(rngs), m), dtype=complex)
-    normals = np.empty((2, m))
-    for row, rng in zip(z, rngs):
-        rng.standard_normal(out=normals[0])
-        rng.standard_normal(out=normals[1])
-        normals *= 1.0 / np.sqrt(2.0)
-        np.multiply(root_d, normals[0], out=row.real)
-        np.multiply(root_d, normals[1], out=row.imag)
-    np.fft.ifft(z, axis=-1, out=z)
+    normals = rng.standard_normal((2, m))
+    normals *= 1.0 / np.sqrt(2.0)
+    z = np.empty(m, dtype=complex)
+    np.multiply(root_d, normals[0], out=z.real)
+    np.multiply(root_d, normals[1], out=z.imag)
+    np.fft.ifft(z, out=z)
     z *= np.sqrt(m)
     return z
 
@@ -110,7 +105,7 @@ def sample_stationary_gp(cov: StationaryCovariance, n: int, dt: float, seed) -> 
     """One sample of the zero-mean real stationary process with covariance cov
     on n nodes spaced dt; deterministic given seed."""
     d = embedding_spectrum(cov, n, dt)
-    x = _embedded_complex_sample(np.sqrt(d), [np.random.default_rng(seed)])[0]
+    x = _embedded_complex_sample(np.sqrt(d), np.random.default_rng(seed))
     # real/imag parts each carry half the covariance of the complex sample
     return np.sqrt(2.0) * x.real[:n]
 
@@ -119,7 +114,7 @@ def sample_complex_circular_gp(cov: StationaryCovariance, n: int, dt: float, see
     """Circularly-symmetric complex Gaussian sample on n nodes spaced dt:
     E[x xbar'] = cov, E[x x'] = 0."""
     d = embedding_spectrum(cov, n, dt)
-    return _embedded_complex_sample(np.sqrt(d), [np.random.default_rng(seed)])[0, :n]
+    return _embedded_complex_sample(np.sqrt(d), np.random.default_rng(seed))[:n]
 
 
 def analytic_signal(x) -> np.ndarray:

@@ -44,9 +44,12 @@ class StationaryCovariance:
 
 
 def _check_lorentz(sigma: float, omega: float):
-    """sigma > 0, and a warning when the carrier is not separated from the envelope."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    """Finite sigma > 0 and a finite omega, and a warning when the carrier is not
+    separated from the envelope.  The comparisons are written so that NaN fails."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not -np.inf < omega < np.inf:
+        raise ValueError(f"omega must be finite, got {omega}")
     if omega < 1.0 / sigma:
         warnings.warn(
             f"carrier omega={omega} is not well separated from the envelope "

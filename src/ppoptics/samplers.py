@@ -8,9 +8,8 @@ an independently spawned child seed, and the determinantal sampler one
 per block of replicates.  `sample_cox` is the exception: it draws once on
 a given intensity path, from a seed or a `Generator`.
 
-Permanental replicates are drawn in blocks, one inverse FFT per block of
-fields.  Each replicate draws only from its own child generator, so the
-output does not depend on the block size.
+A permanental replicate is a complex Gaussian field draw followed by
+`sample_cox` on |E+|^2, both from the replicate's own child generator.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell); grid density
@@ -76,6 +75,8 @@ class CellGrid:
     """
 
     def __init__(self, window: Window, nodes_per_unit: int):
+        if nodes_per_unit < 1:
+            raise ValueError(f"nodes_per_unit must be at least 1, got {nodes_per_unit}")
         self.window = window
         self.n = max(1024, int(round(nodes_per_unit * window.length)))
         self.cell = window.length / self.n
@@ -185,7 +186,7 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
     """
     rng = np.random.default_rng(seed)
     intensity = np.asarray(intensity, dtype=float)
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     if intensity.shape != (grid.n,):
         raise ValueError("intensity path must live on the grid")
@@ -200,45 +201,23 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
 # Permanental (Cox process driven by a squared complex Gaussian field)
 
 
-# the complex field of one block of permanental replicates stays within about
-# this many bytes, 4 replicates at m = 8192; larger blocks were not measurably
-# faster and each doubling took about 1 MiB more RSS
-_FIELD_BLOCK_BYTES = 2**19
-
-
-def _permanental_block(root_d, scale, grid: CellGrid, rngs) -> list:
-    """Permanental samples for the generators `rngs`: one block of fields, then
-    a Cox draw at rate scale * |E+|^2 on each replicate's own generator."""
-    field = _embedded_complex_sample(root_d, rngs)[:, : grid.n]
-    masses = scale * np.abs(field) ** 2 * grid.cell
-    cdfs = np.cumsum(masses, axis=1)
-    totals = masses.sum(axis=1)
-    return [
-        _draw_cells(cdf, total, rng.poisson(total), grid, rng)
-        for cdf, total, rng in zip(cdfs, totals, rngs)
-    ]
-
-
 def sample_permanental_batch(
     cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = 4096
 ) -> list:
     """Permanental samples with kernel scale * cov.
 
-    Each replicate composes a circularly-symmetric complex Gaussian field
-    draw at the window's cell centers with a Cox draw at rate scale * |E+|^2,
-    both on its own child generator.  Replicates run in blocks sized by
-    `_FIELD_BLOCK_BYTES`, in the calling thread; no replicate's draws depend
-    on the block size.
+    Each replicate draws a circularly-symmetric complex Gaussian field E+ at
+    the window's cell centers, then `sample_cox` at rate scale * |E+|^2,
+    both on its own child generator.
     """
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     grid = CellGrid(w, nodes_per_unit)
     root_d = np.sqrt(embedding_spectrum(cov, grid.n, grid.cell))
-    rngs = _child_rngs(seed, reps)
-    size = max(1, _FIELD_BLOCK_BYTES // (16 * root_d.size))
     out = []
-    for i in range(0, reps, size):
-        out += _permanental_block(root_d, scale, grid, rngs[i : i + size])
+    for rng in _child_rngs(seed, reps):
+        field = _embedded_complex_sample(root_d, rng)[: grid.n]
+        out.append(sample_cox(np.abs(field) ** 2, grid, scale, rng))
     return out
 
 

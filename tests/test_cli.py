@@ -44,6 +44,19 @@ class TestSample:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("family_args", [
+        ["permanental", "--scale", "25"],
+        ["projection-dpp", "--kernel", "hermite:n_modes=6", "--window-from-kernel"],
+        ["dpp-mixture", "--kernel", "hermite:n_modes=2", "--lambdas", "0.9,0.1",
+         "--window-from-kernel"],
+        ["fock", "--k", "5"],
+    ], ids=lambda a: a[0])
+    def test_header_records_nodes_per_unit(self, family_args, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["sample", "--family", *family_args, "--reps", "2",
+                    "--nodes-per-unit", "1024", "--out", str(out)]) == 0
+        assert load_batch_csv(out)[1]["nodes_per_unit"] == 1024
+
     def test_projection_dpp_fixed_rows(self, tmp_path):
         out = tmp_path / "dpp.csv"
         code = run([
@@ -175,6 +188,8 @@ class TestUserErrors:
             header = json.dumps(meta)
             paths[name].write_text("\n".join(
                 [f"# ppoptics-batch {header}", "replicate_id,t", *lines]) + "\n")
+        paths["directory"] = tmp_path / "directory"
+        paths["directory"].mkdir()
         return paths
 
     @pytest.mark.parametrize("argv", [
@@ -213,6 +228,22 @@ class TestUserErrors:
          "--lambdas", "0.1,0.1,0.1", "--window-from-kernel", "--reps", "2"],
         ["sample", "--family", "poisson", "--rate", "5", "--lambdas", "0.5"],
         ["sample", "--family", "poisson", "--rate", "5", "--window", "0", "inf"],
+        ["verify", "gue", "--n", "0"],
+        # small --reps: a regression that draws the matrices first stays small
+        ["verify", "gue", "--n", "300", "--reps", "2"],
+        ["verify", "gue", "--reps", "0"],
+        ["verify", "wick", "--cases", "0"],
+        ["verify", "wick", "--cases", "-1"],
+        ["sample", "--family", "permanental", "--sigma", "nan"],
+        ["sample", "--family", "permanental", "--sigma", "inf"],
+        ["sample", "--family", "permanental", "--omega", "nan"],
+        ["sample", "--family", "permanental", "--scale", "nan"],
+        ["sample", "--family", "permanental", "--nodes-per-unit", "-5"],
+        ["sample", "--family", "fock", "--nodes-per-unit", "0"],
+        ["pcf", "--batch", "{batch}", "--theory", "permanental:sigma=0"],
+        ["pcf", "--batch", "{batch}", "--rmax", "nan"],
+        ["pcf", "--batch", "{batch}", "--rmax", "-1"],
+        ["pcf", "--batch", "{directory}"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
@@ -221,13 +252,41 @@ class TestUserErrors:
             "replicate-count-not-int", "replicate-count-bool", "row-with-one-field",
             "blank-row", "nan-point", "row-with-three-fields", "replicate-id-not-int",
             "infinite-window-in-header", "lambdas-for-projection", "lambdas-for-poisson",
-            "infinite-window"])
+            "infinite-window", "gue-zero-modes", "gue-too-many-modes", "gue-zero-reps",
+            "wick-zero-cases", "wick-negative-cases", "nan-sigma", "infinite-sigma",
+            "nan-omega", "nan-scale", "negative-nodes-per-unit",
+            "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
+            "batch-is-a-directory"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
         capsys.readouterr()
         assert run(argv) == 2
         assert "error" in json.loads(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "poisson", "--rate", "5", "--reps", "2"],
+        ["pcf", "--batch", "{batch}"],
+        ["verify", "ccr"],
+    ], ids=["sample", "pcf", "verify"])
+    def test_unwritable_out(self, argv, batches, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert str(out) in json.loads(capsys.readouterr().err)["error"]
+        assert not out.parent.exists()
+
+    def test_embedding_error_reports_config(self, tmp_path, capsys):
+        # a real limit of the method: the circulant doubles to EMBEDDING_MAX_M and refuses
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(["sample", "--family", "permanental", "--window", "0", "0.001",
+                    "--reps", "1", "--out", str(out)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert "embedding" in report["error"]
+        assert report["config"]["nodes_per_unit"] == 4096
         assert not out.exists()
 
     def test_infinite_window_named_without_warning(self, batches, tmp_path, capsys):

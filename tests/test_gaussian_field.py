@@ -187,7 +187,7 @@ class TestComplexCircularGp:
 
 
 def one_generator_field(cov, n, dt, seed):
-    """The whole-circulant field as one generator drew it before fields came in blocks."""
+    """The whole-circulant field as the plain complex expression of one generator's draws."""
     d = gf.embedding_spectrum(cov, n, dt)
     m = d.size
     rng = np.random.default_rng(seed)
@@ -196,6 +196,8 @@ def one_generator_field(cov, n, dt, seed):
 
 
 class TestBlockedDraw:
+    """The in-place field draw against the plain complex expression."""
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n, dt", [(512, 1 / 128), (1000, 1 / 256)])
     def test_samplers_match_one_generator_expression(self, seed, n, dt):
@@ -206,11 +208,3 @@ class TestBlockedDraw:
         want = one_generator_field(real_cov, n, dt, seed)
         got = gf.sample_stationary_gp(real_cov, n, dt, seed)
         assert np.array_equal(got, np.sqrt(2.0) * want.real[:n])
-
-    def test_each_row_follows_its_own_generator(self):
-        cov = kernels.analytic_lorentz_kernel(0.5, 20.0)
-        root_d = np.sqrt(gf.embedding_spectrum(cov, 512, 1 / 128))
-        seeds = [3, 1, 4, 1, 5]
-        block = gf._embedded_complex_sample(root_d, [np.random.default_rng(s) for s in seeds])
-        for row, s in zip(block, seeds):
-            assert np.array_equal(row, one_generator_field(cov, 512, 1 / 128, s))

@@ -27,6 +27,14 @@ class TestLorentz:
         with pytest.raises(ValueError):
             kernels.lorentz_kernel(-1.0, 10.0)
 
+    @pytest.mark.parametrize("sigma, omega", [
+        (np.nan, 10.0), (np.inf, 10.0), (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf),
+    ])
+    @pytest.mark.parametrize("make", [kernels.lorentz_kernel, kernels.analytic_lorentz_kernel])
+    def test_rejects_non_finite_parameters(self, make, sigma, omega):
+        with pytest.raises(ValueError, match="finite"):
+            make(sigma, omega)
+
     def test_pd_necessary_condition(self):
         cov = kernels.lorentz_kernel(0.2, 50.0)
         tau = np.linspace(-3, 3, 301)

@@ -116,6 +116,11 @@ class TestCellGrid:
         assert w.a < grid.centers[0] and grid.centers[-1] < w.b
         assert np.all(np.diff(grid.centers) > 0)
 
+    @pytest.mark.parametrize("nodes_per_unit", [0, -5])
+    def test_rejects_fewer_than_one_node_per_unit(self, nodes_per_unit):
+        with pytest.raises(ValueError, match="nodes_per_unit"):
+            CellGrid(Window(0, 1), nodes_per_unit)
+
 
 class TestPoisson:
     def test_zero_rate_is_empty(self):
@@ -187,6 +192,11 @@ class TestCox:
         c = samplers.sample_cox(np.ones(grid.n), grid, 0.0, 0)
         assert len(c) == 0
 
+    def test_nan_scale_rejected(self):
+        grid = CellGrid(Window(0, 1), 1024)
+        with pytest.raises(ValueError, match="scale"):
+            samplers.sample_cox(np.ones(grid.n), grid, np.nan, 0)
+
 
 class TestPermanental:
     def test_intensity_matches_kernel_diagonal(self):
@@ -216,34 +226,26 @@ class TestPermanental:
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - scale * cov.at_zero * length) < 3 * stderr
 
-    def test_replicates_do_not_depend_on_block_size(self, monkeypatch):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        w = Window(0, 1)
-        m = 16 * gaussian_field.embedding_spectrum(cov, 1024, 1 / 1024).size
-        # blocks of 3 for the 7 replicates, of 5 for the 23: the boundaries differ
-        monkeypatch.setattr(samplers, "_FIELD_BLOCK_BYTES", 3 * m)
-        few = samplers.sample_permanental_batch(cov, 25.0, w, 7, 11, nodes_per_unit=1024)
-        monkeypatch.setattr(samplers, "_FIELD_BLOCK_BYTES", 5 * m)
-        many = samplers.sample_permanental_batch(cov, 25.0, w, 23, 11, nodes_per_unit=1024)
-        assert len(few) == 7 and len(many) == 23
-        for a, b in zip(few, many):
-            assert np.array_equal(a.points, b.points)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_per_replicate_field_then_cox(self, seed):
+    @pytest.mark.parametrize("seed, reps, window", [
+        *(pytest.param(seed, 9, (0.5, 1.25), id=str(seed)) for seed in range(3)),
+        pytest.param(3, 1, (0.5, 1.25), id="one-replicate"),
+        # on a window of 0.25 the embedding has to double (m = 4n)
+        pytest.param(4, 9, (0.0, 0.25), id="doubled-embedding"),
+    ])
+    def test_matches_per_replicate_field_then_cox(self, seed, reps, window):
         # each replicate: its field from its own child generator, then sample_cox on it
         cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        w = Window(0.5, 1.25)
+        w = Window(*window)
         grid = CellGrid(w, 2048)
         d = gaussian_field.embedding_spectrum(cov, grid.n, grid.cell)
         m = d.size
         want = []
-        for s in np.random.SeedSequence(seed).spawn(9):
+        for s in np.random.SeedSequence(seed).spawn(reps):
             rng = np.random.default_rng(s)
             z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
             field = (np.fft.ifft(np.sqrt(d) * z) * np.sqrt(m))[: grid.n]
             want.append(samplers.sample_cox(np.abs(field) ** 2, grid, 40.0, rng))
-        got = samplers.sample_permanental_batch(cov, 40.0, w, 9, seed, nodes_per_unit=2048)
+        got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
