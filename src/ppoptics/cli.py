@@ -16,7 +16,6 @@ import numpy as np
 from scipy.stats import ks_2samp, poisson as poisson_dist
 
 from . import builder, estimators, fock, kernels, samplers
-from .gaussian_field import EmbeddingError
 from .samplers import Window
 
 DEFAULT_OUTDIR_ENV = "PPOPTICS_OUTDIR"
@@ -105,6 +104,8 @@ def cmd_sample(args) -> int:
             meta.update({"k": args.k, "center": args.center, "width": args.width,
                          "nodes_per_unit": args.nodes_per_unit})
             c, s = args.center, args.width
+            if not 0 < s < np.inf:
+                raise ValueError(f"--width must be positive and finite, got {s}")
             batch = samplers.sample_fock_pp_batch(
                 lambda t: np.exp(-((t - c) ** 2) / (4.0 * s**2)),
                 args.k,
@@ -115,7 +116,7 @@ def cmd_sample(args) -> int:
             )
         else:
             raise ValueError(f"unknown family {args.family!r}")
-    except (ValueError, EmbeddingError) as exc:
+    except ValueError as exc:
         return _json_error({"error": str(exc), "config": meta})
     out = _resolve_out(args.out)
     try:

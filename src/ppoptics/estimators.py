@@ -77,11 +77,44 @@ def _flat_points(batch):
     return flat, rid
 
 
-def _binned(values, base, edges, reps: int) -> np.ndarray:
+def _bin_index(edges):
+    """The map values -> np.searchsorted(edges[:-1], values, side="right"): a
+    value's bin plus one, 0 below the first edge.
+
+    When `edges` is exactly np.linspace(edges[0], edges[-1], edges.size), as
+    `default_pcf_bins` and the CLI build it, the index is guessed from the bin
+    width and then moved by at most one, after one comparison with the edge on
+    each side; the guess is off by at most one, since only a few roundings
+    separate it from the exact quotient.  Other edges are searched.
+    """
+    m = edges.size
+    uniform = np.linspace(edges[0], edges[-1], m)
+    if not (edges[-1] > edges[0] and np.array_equal(edges, uniform)):
+        return lambda values: np.searchsorted(edges[:-1], values, side="right")
+    # the guess stays in [0, m - 2]; only the step up reaches m - 1
+    below = np.concatenate([[-np.inf], edges[:-2]])
+    above = edges[:-1]
+    start, per_width = edges[0], (m - 1) / (edges[-1] - edges[0])
+
+    def index(values):
+        q = values - start
+        q *= per_width
+        q += 1.0
+        np.clip(q, 0, m - 2, out=q)
+        b = q.astype(np.intp)
+        b -= values < below[b]
+        b += values >= above[b]
+        return b
+
+    return index
+
+
+def _binned(values, base, edges, reps: int, index) -> np.ndarray:
     """Counts of `values` per (replicate, bin), flat of length reps * bins, with
     the bins of `np.histogram`: [e_m, e_m+1), the last one closed on the right.
-    `base` is each value's replicate index times the number of bins."""
-    b = np.searchsorted(edges[:-1], values, side="right")
+    `base` is each value's replicate index times the number of bins, and
+    `index` is `_bin_index(edges)`."""
+    b = index(values)
     # b is 0 below the first edge; values above the last edge are not counted.
     # The mask is built only when needed (never for pair distances and a first
     # edge <= 0): masks on every lag raised the thermal peak RSS by about 1 MiB
@@ -102,6 +135,7 @@ def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
     """
     counts = np.zeros(reps * (edges.size - 1), dtype=np.int64)
     base = rid * (edges.size - 1)
+    index = _bin_index(edges)
     i = np.flatnonzero(flat < np.inf)
     k = 1
     while i.size:
@@ -109,7 +143,7 @@ def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
         d -= flat[i]
         near = d <= edges[-1]
         i = i[near]
-        counts += _binned(d[near], base[i], edges, reps)
+        counts += _binned(d[near], base[i], edges, reps, index)
         k += 1
     return counts.reshape(reps, -1)
 
@@ -123,7 +157,7 @@ def estimate_intensity(batch, bins=20):
     edges = _bin_edges(np.linspace(w.a, w.b, bins + 1) if np.isscalar(bins) else bins)
     widths = np.diff(edges)
     flat, rid = _flat_points(batch)
-    counts = _binned(flat, rid * widths.size, edges, len(batch))
+    counts = _binned(flat, rid * widths.size, edges, len(batch), _bin_index(edges))
     counts = counts.reshape(len(batch), -1).astype(float)
     rate = counts.mean(axis=0) / widths
     spread = counts.std(axis=0, ddof=1) if len(batch) > 1 else np.zeros(len(widths))

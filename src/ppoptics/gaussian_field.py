@@ -9,6 +9,13 @@ power of two >= 2n and doubles until its spectrum is nonnegative up to
 rounding, so its size comes from the covariance alone.  The analytic
 signal maps real samples to their positive-frequency envelope
 representation.
+
+The permanental sampler asks only for |E|^2 of a circular complex field
+(`_intensity_sampler`).  For the analytic Lorentz covariance
+2 exp(-|tau|/sigma) e^{i omega tau} that is |A|^2 of a complex
+Ornstein-Uhlenbeck envelope A, drawn by its exact AR(1) recursion from 2n
+normals with no circulant and no FFT (Gillespie 1996); every other
+covariance goes through the circulant embedding.
 """
 
 import warnings
@@ -99,6 +106,78 @@ def _embedded_complex_sample(root_d: np.ndarray, rng) -> np.ndarray:
     np.fft.ifft(z, out=z)
     z *= np.sqrt(m)
     return z
+
+
+# longest run of cells one cumulative sum of the Ornstein-Uhlenbeck recursion covers
+_OU_MAX_BLOCK = 256
+
+
+def _ou_recursion(n: int, r: float):
+    """The stationary AR(1) recursion on n cells, as a map x -> a along the last
+    axis of an array of standard normals.
+
+    a_0 = x_0 and a_k = rho a_(k-1) + sqrt(1 - rho^2) x_k with rho = exp(-r), so
+    every entry has unit variance and lag-j correlation rho^j: the
+    Ornstein-Uhlenbeck process of correlation time 1 at spacing r.
+
+    It runs as a cumulative sum inside blocks of B cells, with weights rho^-i
+    and then rho^i at cell i of a block, where B is the largest power of two
+    up to _OU_MAX_BLOCK with B r <= 1, so that rho^-i stays below e.  The
+    block ends carry forward by a doubling scan of factor rho^B, and cell i
+    adds rho^(i+1) times the end of the block before it.
+    """
+    block = 1
+    while 2 * block <= _OU_MAX_BLOCK and 2 * block * r <= 1.0:
+        block *= 2
+    blocks = -(-n // block)
+    i = np.arange(block)
+    weight = np.tile(np.exp(i * r), blocks)[:n] * np.sqrt(-np.expm1(-2.0 * r))
+    weight[0] = 1.0
+    decay = np.exp(-i * r)
+    rho, block_decay = np.exp(-r), np.exp(-block * r)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        lead = x.shape[:-1]
+        s = np.zeros(lead + (blocks, block))
+        np.multiply(x, weight, out=s.reshape(lead + (-1,))[..., :n])
+        np.cumsum(s, axis=-1, out=s)
+        # ends[..., b]: block b's last cell, from its own cells, then with the
+        # blocks before it carried in
+        ends = s[..., -1] * decay[-1]
+        factor, shift = block_decay, 1
+        while shift < blocks:
+            ends[..., shift:] += factor * ends[..., :-shift]
+            factor *= factor
+            shift *= 2
+        s[..., 1:, :] += rho * ends[..., :-1, None]
+        s *= decay
+        return s.reshape(lead + (-1,))[..., :n]
+
+    return run
+
+
+def _intensity_sampler(cov: StationaryCovariance, n: int, dt: float):
+    """A draw `rng -> |E|^2` of the circular complex field of covariance cov
+    on n nodes spaced dt.
+
+    The analytic Lorentz covariance 2 exp(-|tau|/sigma) e^{i omega tau} is
+    e^{i omega t} A(t) with A a complex Ornstein-Uhlenbeck process, and
+    |E|^2 = |A|^2; A is the exact AR(1) recursion at the nodes (Gillespie
+    1996), from the 2n normals rng.standard_normal((2, n)), real parts then
+    imaginary parts, each of unit variance.  Any other covariance is drawn
+    by circulant embedding.  Both check that dt resolves the carrier.
+    """
+    _check_carrier_resolved(cov, dt)
+    if cov.params.get("name") == "analytic_lorentz":
+        recursion = _ou_recursion(n, dt / cov.params["sigma"])
+
+        def draw(rng):
+            a = recursion(rng.standard_normal((2, n)))
+            return a[0] ** 2 + a[1] ** 2
+
+        return draw
+    root_d = np.sqrt(embedding_spectrum(cov, n, dt))
+    return lambda rng: np.abs(_embedded_complex_sample(root_d, rng)[:n]) ** 2
 
 
 def sample_stationary_gp(cov: StationaryCovariance, n: int, dt: float, seed) -> np.ndarray:

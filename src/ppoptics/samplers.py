@@ -8,8 +8,11 @@ an independently spawned child seed, and the determinantal sampler one
 per block of replicates.  `sample_cox` is the exception: it draws once on
 a given intensity path, from a seed or a `Generator`.
 
-A permanental replicate is a complex Gaussian field draw followed by
-`sample_cox` on |E+|^2, both from the replicate's own child generator.
+A permanental replicate is a draw of |E+|^2, the squared modulus of a
+complex Gaussian field, followed by `sample_cox` on it, both from the
+replicate's own child generator.  For the analytic Lorentz covariance the
+draw is the exact AR(1) recursion of the field's envelope; any other
+covariance is drawn by circulant embedding.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell); grid density
@@ -39,13 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_field import embedding_spectrum, _embedded_complex_sample
+from .gaussian_field import _intensity_sampler
 from .kernels import SpectralKernel
 
 
 # largest expected point count per Poisson replicate, rate_max * window length;
 # each replicate holds a few float arrays of about this length
 _POISSON_MAX_MEAN = 1e7
+# most cells of one CellGrid: 128 MiB of centers, and a sampler holds a few
+# arrays of that length
+_GRID_MAX_CELLS = 2**24
 
 
 class RankLossError(RuntimeError):
@@ -71,14 +77,22 @@ class Window:
 class CellGrid:
     """Uniform cells covering a window: `n` cells of width `cell` with midpoints `centers`.
 
-    The window gets nodes_per_unit cells per unit length, and never fewer than 1024.
+    The window gets nodes_per_unit cells per unit length, never fewer than 1024
+    and at most _GRID_MAX_CELLS.
     """
 
     def __init__(self, window: Window, nodes_per_unit: int):
         if nodes_per_unit < 1:
             raise ValueError(f"nodes_per_unit must be at least 1, got {nodes_per_unit}")
+        cells = nodes_per_unit * window.length
+        # NaN-safe; an infinite length (b - a beyond the largest float) fails too
+        if not cells <= _GRID_MAX_CELLS:
+            raise ValueError(
+                f"nodes_per_unit * window length = {cells!r} cells, above the limit of "
+                f"{_GRID_MAX_CELLS}"
+            )
         self.window = window
-        self.n = max(1024, int(round(nodes_per_unit * window.length)))
+        self.n = max(1024, int(round(cells)))
         self.cell = window.length / self.n
         self.centers = window.a + (np.arange(self.n) + 0.5) * self.cell
 
@@ -206,19 +220,15 @@ def sample_permanental_batch(
 ) -> list:
     """Permanental samples with kernel scale * cov.
 
-    Each replicate draws a circularly-symmetric complex Gaussian field E+ at
-    the window's cell centers, then `sample_cox` at rate scale * |E+|^2,
-    both on its own child generator.
+    Each replicate draws |E+|^2 of a circularly-symmetric complex Gaussian
+    field at the window's cell centers, then runs `sample_cox` at rate
+    scale * |E+|^2, both on its own child generator.
     """
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     grid = CellGrid(w, nodes_per_unit)
-    root_d = np.sqrt(embedding_spectrum(cov, grid.n, grid.cell))
-    out = []
-    for rng in _child_rngs(seed, reps):
-        field = _embedded_complex_sample(root_d, rng)[: grid.n]
-        out.append(sample_cox(np.abs(field) ** 2, grid, scale, rng))
-    return out
+    draw = _intensity_sampler(cov, grid.n, grid.cell)
+    return [sample_cox(draw(rng), grid, scale, rng) for rng in _child_rngs(seed, reps)]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,19 @@ class TestSample:
         assert code == 0
         assert (tmp_path / "rel.csv").exists()
 
+    def test_permanental_short_window(self, tmp_path):
+        # window [0, 0.001] = sigma / 100: past the circulant's EMBEDDING_MAX_M, but
+        # the AR(1) draw has no such limit; the mean count is scale * C(0) * L
+        out = tmp_path / "out.csv"
+        scale, length, reps = 10_000.0, 0.001, 400
+        assert run(["sample", "--family", "permanental", "--window", "0", str(length),
+                    "--scale", str(scale), "--reps", str(reps), "--out", str(out)]) == 0
+        batch, meta = load_batch_csv(out)
+        assert meta["nodes_per_unit"] == 4096
+        counts = np.array([len(c) for c in batch], dtype=float)
+        stderr = counts.std(ddof=1) / np.sqrt(reps)
+        assert abs(counts.mean() - scale * 2.0 * length) < 3 * stderr
+
 
 class TestPcf:
     def test_poisson_flat_exit_zero(self, tmp_path):
@@ -244,6 +257,11 @@ class TestUserErrors:
         ["pcf", "--batch", "{batch}", "--rmax", "nan"],
         ["pcf", "--batch", "{batch}", "--rmax", "-1"],
         ["pcf", "--batch", "{directory}"],
+        ["sample", "--family", "fock", "--width", "0"],
+        ["sample", "--family", "fock", "--width", "nan"],
+        # 1e11 cells: refused before the grid's arrays (745 GiB of centers) exist
+        ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
+        ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
@@ -256,13 +274,20 @@ class TestUserErrors:
             "wick-zero-cases", "wick-negative-cases", "nan-sigma", "infinite-sigma",
             "nan-omega", "nan-scale", "negative-nodes-per-unit",
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
-            "batch-is-a-directory"])
+            "batch-is-a-directory", "fock-zero-width", "fock-nan-width",
+            "fock-too-many-cells", "permanental-too-many-cells"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
         capsys.readouterr()
-        assert run(argv) == 2
-        assert "error" in json.loads(capsys.readouterr().err)
+        # a warning would print to stderr beside the JSON line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error" in json.loads(err)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -277,17 +302,6 @@ class TestUserErrors:
         assert run(argv) == 2
         assert str(out) in json.loads(capsys.readouterr().err)["error"]
         assert not out.parent.exists()
-
-    def test_embedding_error_reports_config(self, tmp_path, capsys):
-        # a real limit of the method: the circulant doubles to EMBEDDING_MAX_M and refuses
-        out = tmp_path / "out.csv"
-        capsys.readouterr()
-        assert run(["sample", "--family", "permanental", "--window", "0", "0.001",
-                    "--reps", "1", "--out", str(out)]) == 2
-        report = json.loads(capsys.readouterr().err)
-        assert "embedding" in report["error"]
-        assert report["config"]["nodes_per_unit"] == 4096
-        assert not out.exists()
 
     def test_infinite_window_named_without_warning(self, batches, tmp_path, capsys):
         capsys.readouterr()

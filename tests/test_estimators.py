@@ -90,6 +90,27 @@ class TestPcf:
         assert est.n_replicates == 200
 
 
+class TestBinIndex:
+    @pytest.mark.parametrize("edges", [
+        np.linspace(0.0, 0.25, 51),  # the default pcf bins of a unit window
+        np.linspace(0.1, 0.7, 13),
+        np.linspace(-3.0, 1e-3, 7),
+        np.linspace(0.0, 1.0, 2),
+        np.array([0.0, 0.1, 0.15, 0.4]),  # not uniform: searched
+    ])
+    def test_matches_the_search(self, edges):
+        # every edge and its two neighbouring floats, values beyond both ends, and +-inf
+        rng = np.random.default_rng(0)
+        span = edges[-1] - edges[0]
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            rng.uniform(edges[0] - span, edges[-1] + span, 10_000),
+            [-np.inf, np.inf, -1e12, 1e12],
+        ])
+        want = np.searchsorted(edges[:-1], values, side="right")
+        assert np.array_equal(estimators._bin_index(edges)(values), want)
+
+
 class TestCountStatistics:
     def test_poisson_fano_near_one(self):
         batch = poisson_batch(50.0, 10_000, seed=10)

@@ -27,6 +27,9 @@ class TestGrid:
         cov = kernels.analytic_lorentz_kernel(0.1, 1000.0)
         with pytest.raises(ValueError, match="carrier"):  # dt far above pi/(4*1000)
             gf.sample_complex_circular_gp(cov, 256, 1 / 256, 0)
+        # the recursion never needs the carrier, but the grid must still resolve it
+        with pytest.raises(ValueError, match="carrier"):
+            gf._intensity_sampler(cov, 256, 1 / 256)
 
 
 class TestStationaryGp:
@@ -76,6 +79,13 @@ class TestStationaryGp:
         assert d.size == 8192 and d.min() >= 0
         # a node count that is not a power of two starts at the next one up
         assert gf.embedding_spectrum(cov, 1229, 0.3 / 1229).size == 4096
+
+    def test_embedding_error_on_a_short_window(self):
+        # 1024 nodes over 0.001 = sigma / 100: the circulant doubles to
+        # EMBEDDING_MAX_M and refuses; the permanental sampler takes the AR(1) path here
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        with pytest.raises(EmbeddingError, match="too negative"):
+            gf.sample_complex_circular_gp(cov, 1024, 0.001 / 1024, 0)
 
     def test_embedding_error_for_invalid_covariance(self):
         # a boxcar "covariance" is not positive definite
@@ -184,6 +194,20 @@ class TestComplexCircularGp:
         c1, c2 = acc_route1 / reps, acc_route2 / reps
         assert abs(c1) == pytest.approx(abs(c2), rel=0.05)
         assert abs(c2) == pytest.approx(abs(ana_cov(lag * dt)), rel=0.05)
+
+
+class TestOrnsteinUhlenbeck:
+    """The AR(1) recursion behind the analytic Lorentz intensity."""
+
+    @pytest.mark.parametrize("n", [700, 1024])
+    # blocks of 256, 128 and 2 cells, and of 1 cell when the spacing exceeds sigma
+    @pytest.mark.parametrize("r", [1e-6, 2.4e-3, 0.5, 3.0, 50.0])
+    def test_covariance_is_exact(self, r, n):
+        # row j is the recursion of the unit vector e_j, so a = rows.T @ x, and the
+        # complex envelope A = a_re + i a_im has E[A_j conj(A_k)] = 2 (rows.T rows)_jk
+        rows = gf._ou_recursion(n, r)(np.eye(n))
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert np.abs(2.0 * rows.T @ rows - 2.0 * np.exp(-lag * r)).max() < 1e-12
 
 
 def one_generator_field(cov, n, dt, seed):

@@ -121,6 +121,17 @@ class TestCellGrid:
         with pytest.raises(ValueError, match="nodes_per_unit"):
             CellGrid(Window(0, 1), nodes_per_unit)
 
+    @pytest.mark.parametrize("window, nodes_per_unit", [
+        # one cell over the cap: a grid built without the check takes about 128 MiB
+        pytest.param((0.0, 1.0), samplers._GRID_MAX_CELLS + 1, id="one-over"),
+        pytest.param((0.0, 0.5), 2 * samplers._GRID_MAX_CELLS + 1, id="half-cell-over"),
+        # b - a overflows to inf
+        pytest.param((-1e308, 1e308), 1, id="infinite-length"),
+    ])
+    def test_rejects_more_cells_than_the_cap(self, window, nodes_per_unit):
+        with pytest.raises(ValueError, match="above the limit"):
+            CellGrid(Window(*window), nodes_per_unit)
+
 
 class TestPoisson:
     def test_zero_rate_is_empty(self):
@@ -215,10 +226,23 @@ class TestPermanental:
         fano = counts.var(ddof=1) / counts.mean()
         assert fano > 1.5  # Cox bunching; theory ~6 here
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fano_factor_closed_form(self, seed):
+        # Var N = E N + scale^2 int int |C(x - y)|^2 dx dy on [0, L] (Isserlis), with
+        # |C|^2 = 4 exp(-2|tau|/sigma): Fano = 1 + 4.75 = 5.75 at scale 25, sigma 0.1, L 1
+        sigma, scale, length, reps = 0.1, 25.0, 1.0, 2000
+        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
+        a = 2.0 / sigma
+        pair_integral = 4.0 * (2.0 * length / a - 2.0 * -np.expm1(-a * length) / a**2)
+        want = 1.0 + scale * pair_integral / (cov.at_zero * length)
+        batch = samplers.sample_permanental_batch(cov, scale, Window(0, length), reps, seed)
+        fanos = [b.var(ddof=1) / b.mean() for b in np.array_split(batch_counts(batch), 20)]
+        stderr = np.std(fanos, ddof=1) / np.sqrt(len(fanos))
+        assert abs(np.mean(fanos) - want) < 4 * stderr
+
     @pytest.mark.parametrize("length", [0.25, 0.3])
     def test_short_window_intensity(self, length):
-        # the field covers the window only: on [0, 0.25] the first circulant
-        # (m = 2n) is too negative and the embedding has to double
+        # the field covers the window only, here a grid at the 1024-cell floor
         cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
         scale, reps = 25.0, 2000
         batch = samplers.sample_permanental_batch(cov, scale, Window(0, length), reps, seed=7)
@@ -229,15 +253,48 @@ class TestPermanental:
     @pytest.mark.parametrize("seed, reps, window", [
         *(pytest.param(seed, 9, (0.5, 1.25), id=str(seed)) for seed in range(3)),
         pytest.param(3, 1, (0.5, 1.25), id="one-replicate"),
-        # on a window of 0.25 the embedding has to double (m = 4n)
+        # 1024 cells: four blocks of the recursion (the circulant had to double here)
         pytest.param(4, 9, (0.0, 0.25), id="doubled-embedding"),
     ])
     def test_matches_per_replicate_field_then_cox(self, seed, reps, window):
-        # each replicate: its field from its own child generator, then sample_cox on it
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        # each replicate: the AR(1) envelope from its own child generator, real parts
+        # then imaginary parts, then sample_cox on |A|^2 with the same generator
+        sigma = 0.1
+        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
         w = Window(*window)
         grid = CellGrid(w, 2048)
-        d = gaussian_field.embedding_spectrum(cov, grid.n, grid.cell)
+        rho = np.exp(-grid.cell / sigma)
+        innovation = np.sqrt(1.0 - rho**2)
+        want = []
+        for s in np.random.SeedSequence(seed).spawn(reps):
+            rng = np.random.default_rng(s)
+            x = rng.standard_normal((2, grid.n))
+            a = np.empty_like(x)
+            a[:, 0] = x[:, 0]
+            for k in range(1, grid.n):
+                a[:, k] = rho * a[:, k - 1] + innovation * x[:, k]
+            want.append(samplers.sample_cox(a[0] ** 2 + a[1] ** 2, grid, 40.0, rng))
+        got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
+        assert [len(c) for c in got] == [len(c) for c in want]
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("seed, window", [
+        pytest.param(0, (0.5, 1.25), id="0"),
+        # on a window of 0.25 the embedding has to double (m = 4n)
+        pytest.param(1, (0.0, 0.25), id="doubled-embedding"),
+    ])
+    def test_circulant_covariance_matches_field_then_cox(self, seed, window):
+        # a Gaussian envelope is not Markov: its field comes from the circulant
+        # embedding, whole-circulant normals first, then sample_cox on the same generator
+        def c0(tau):
+            return 2.0 * np.exp(-0.5 * (tau / 0.05) ** 2) * np.exp(100j * tau)
+
+        cov = kernels.StationaryCovariance(c0, {"name": "gaussian", "omega": 100.0})
+        w = Window(*window)
+        grid = CellGrid(w, 2048)
+        reps = 9
+        with pytest.warns(UserWarning, match="clipped negative embedding"):
+            d = gaussian_field.embedding_spectrum(cov, grid.n, grid.cell)
         m = d.size
         want = []
         for s in np.random.SeedSequence(seed).spawn(reps):
@@ -245,7 +302,8 @@ class TestPermanental:
             z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
             field = (np.fft.ifft(np.sqrt(d) * z) * np.sqrt(m))[: grid.n]
             want.append(samplers.sample_cox(np.abs(field) ** 2, grid, 40.0, rng))
-        got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
+        with pytest.warns(UserWarning, match="clipped negative embedding"):
+            got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
