@@ -11,7 +11,6 @@ are plain arrays; `SpectralKernel` checks that one defines a process.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .kernels import SpectralKernel
 
@@ -44,6 +43,8 @@ class GrandCanonicalSpec:
 
 def levels_to_spectrum(spec: GrandCanonicalSpec) -> np.ndarray:
     """Mean occupations lambda_i = 1/(e^{beta(nu_i - zeta)} - eta)."""
+    from scipy.special import expit  # loaded on first use: importing builder needs numpy only
+
     x = spec.beta * (spec.nu - spec.zeta)
     if spec.eta == -1:
         return expit(-x)  # 1/(e^x + 1), stable at both ends

@@ -409,8 +409,8 @@ def sample_fock_pp_batch(
     grid = CellGrid(w, nodes_per_unit)
     masses = np.abs(np.asarray(phi_plus(grid.centers), dtype=complex)) ** 2
     total = masses.sum()
-    if total <= 0:
-        raise ValueError("|phi_plus|^2 has zero total mass on the window")
+    if not total > 0:  # NaN fails this too
+        raise ValueError(f"|phi_plus|^2 has zero total mass on the window (sum {total})")
     cdf = np.cumsum(masses)
     return [_draw_cells(cdf, total, k, grid, rng) for rng in _child_rngs(seed, reps)]
 

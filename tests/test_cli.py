@@ -2,10 +2,15 @@
 byte-exact reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ppoptics import cli, fock, samplers
 from ppoptics.samplers import load_batch_csv
@@ -259,6 +264,8 @@ class TestUserErrors:
         ["pcf", "--batch", "{directory}"],
         ["sample", "--family", "fock", "--width", "0"],
         ["sample", "--family", "fock", "--width", "nan"],
+        # a NaN envelope gives NaN cell masses, which have no total to draw from
+        ["sample", "--family", "fock", "--center", "nan"],
         # 1e11 cells: refused before the grid's arrays (745 GiB of centers) exist
         ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
@@ -274,7 +281,7 @@ class TestUserErrors:
             "wick-zero-cases", "wick-negative-cases", "nan-sigma", "infinite-sigma",
             "nan-omega", "nan-scale", "negative-nodes-per-unit",
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
-            "batch-is-a-directory", "fock-zero-width", "fock-nan-width",
+            "batch-is-a-directory", "fock-zero-width", "fock-nan-width", "fock-nan-center",
             "fock-too-many-cells", "permanental-too-many-cells"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -373,3 +380,51 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["checks"][0]["value"] < 0.02
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ks_distance_matches_scipy_asymptotic(self, seed):
+        # above 10,000 points scipy reports the raw maximum gap, bit for bit
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(10_001 + int(rng.integers(0, 30_000)))
+        b = rng.standard_normal(int(rng.integers(1, 40_000))) * 1.02
+        assert cli._ks_distance(a, b) == ks_2samp(a, b).statistic
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ks_distance_matches_scipy_exact_with_ties(self, seed):
+        # below it scipy rounds the statistic to a multiple of 1/lcm(n_a, n_b)
+        rng = np.random.default_rng(seed)
+        n_a = int(rng.integers(1, 300))
+        a = rng.integers(0, 12, n_a).astype(float)
+        b = rng.integers(0, 10, n_a + int(rng.integers(1, 300))).astype(float)
+        assert abs(cli._ks_distance(a, b) - ks_2samp(a, b).statistic) <= 2e-16
+
+
+# the sample and pcf commands of every family, run in one fresh interpreter
+_NUMPY_ONLY_SCRIPT = """
+import json, sys
+from ppoptics import cli
+out = sys.argv[1]
+families = [
+    ["poisson", "--rate", "20"],
+    ["permanental", "--scale", "25"],
+    ["projection-dpp", "--kernel", "hermite:n_modes=6", "--window-from-kernel"],
+    ["dpp-mixture", "--kernel", "hermite:n_modes=3", "--lambdas", "0.9,0.5,0.1",
+     "--window-from-kernel"],
+    ["fock", "--k", "5"],
+]
+for args in families:
+    path = f"{out}/{args[0]}.csv"
+    assert cli.main(["sample", "--family", *args, "--reps", "5", "--out", path]) == 0
+assert cli.main(["pcf", "--batch", f"{out}/permanental.csv",
+                 "--theory", "permanental:sigma=0.1", "--out", f"{out}/pcf.csv"]) in (0, 1)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_sample_and_pcf_load_no_scipy(tmp_path):
+    """The stochastic side stands on numpy alone: scipy is for the oracle."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
