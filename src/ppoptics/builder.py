@@ -95,11 +95,11 @@ def induced_kernel(spec: GrandCanonicalSpec, basis, window) -> SpectralKernel:
 
     `basis` is a feature map with one function per level (a
     `SpectralKernel.basis`); eigenvalues are the mean occupations of the
-    levels and eta propagates.
+    levels and eta propagates; `window` is a `Window`.
     """
     if len(basis) != spec.nu.size:
         raise ValueError("need exactly one basis function per level")
-    return SpectralKernel(levels_to_spectrum(spec), basis, spec.eta, tuple(window))
+    return SpectralKernel(levels_to_spectrum(spec), basis, spec.eta, window)
 
 
 def rotate_measurement_basis(lam, v) -> np.ndarray:

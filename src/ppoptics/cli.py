@@ -17,7 +17,6 @@ import numpy as np
 # sample and pcf load numpy only; scipy comes with fock, imported by the verify
 # suites that use it
 from . import builder, estimators, kernels, samplers
-from .samplers import Window
 
 DEFAULT_OUTDIR_ENV = "PPOPTICS_OUTDIR"
 
@@ -56,7 +55,7 @@ def parse_kernel_arg(text: str) -> dict:
 def cmd_sample(args) -> int:
     meta = {"family": args.family, "seed": args.seed, "command": "sample"}
     try:
-        w = Window(args.window[0], args.window[1])
+        w = kernels.Window(args.window[0], args.window[1])
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
         if args.lambdas and args.family != "dpp-mixture":
@@ -91,15 +90,14 @@ def cmd_sample(args) -> int:
             if mixture and len(lambdas) != kern.rank:
                 raise ValueError("need one lambda per kernel eigenvalue")
             if args.window_from_kernel:
-                # recorded before the mixture kernel checks its eigenvalues, so
+                # recorded before the kernel on w checks its eigenvalues, so
                 # that an error reports the full configuration
-                w = Window(*kern.window)
+                w = kern.window
                 meta["window_from_kernel"] = True
-            if mixture:
-                kern = kernels.SpectralKernel(lambdas, kern.basis, -1, kern.window)
+            kern = kernels.SpectralKernel(lambdas or kern.eigenvalues, kern.basis, -1, w)
             meta["nodes_per_unit"] = args.nodes_per_unit
             batch = samplers.sample_dpp_mixture_batch(
-                kern, w, args.reps, args.seed, args.nodes_per_unit
+                kern, args.reps, args.seed, args.nodes_per_unit
             )
         elif args.family == "fock":
             meta.update({"k": args.k, "center": args.center, "width": args.width,
@@ -144,7 +142,7 @@ def _theory_curve(theory: str, r_mid: np.ndarray) -> np.ndarray:
         raise ValueError(f"theory sigma must be positive, got {sigma}")
     cov = kernels.analytic_lorentz_kernel(sigma, spec["params"].get("omega", 8.0 / sigma))
     c0 = cov.at_zero
-    return np.array([kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid])
+    return kernels.theoretical_pcf(cov(r_mid), c0, c0, +1)
 
 
 def cmd_pcf(args) -> int:
@@ -159,7 +157,7 @@ def cmd_pcf(args) -> int:
         batch, meta = samplers.load_batch_csv(batch_path)
         if not batch:
             raise ValueError(f"batch file {batch_path} has no replicates")
-        rmax = args.rmax if args.rmax is not None else batch[0].window.length / 4.0
+        rmax = args.rmax or samplers.batch_window(batch).length / 4.0
         est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
         g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None
     except (ValueError, OSError) as exc:
@@ -368,8 +366,7 @@ def suite_gue(n: int = 8, reps: int = 5000, seed: int = 0) -> dict:
     # any (reps, n, n) matrices are drawn
     kern = kernels.hermite_projection_kernel(n)
     eigs = gue_eigenvalues(n, reps, seed)
-    w = Window(*kern.window)
-    batch = samplers.sample_dpp_mixture_batch(kern, w, reps, seed + 1)
+    batch = samplers.sample_dpp_mixture_batch(kern, reps, seed + 1)
     pooled = np.concatenate([c.points for c in batch])
     ks = _ks_distance(eigs, pooled)
     checks = [_check("ks_distance_gue_vs_hermite_dpp", ks, 0.02)]
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--k", type=int, default=5, help="fock: number of particles")
     p_sample.add_argument("--center", type=float, default=0.5, help="fock envelope center")
     p_sample.add_argument("--width", type=float, default=0.15, help="fock envelope width")
-    p_sample.add_argument("--nodes-per-unit", type=int, default=4096)
+    p_sample.add_argument("--nodes-per-unit", type=int, default=samplers.DEFAULT_NODES_PER_UNIT)
     p_sample.add_argument("--out", required=True)
 
     p_pcf = sub.add_parser("pcf", help="pair-correlation estimate of a sampled batch")

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .samplers import batch_window
+
 
 @dataclass(frozen=True)
 class PcfEstimate:
@@ -50,16 +52,6 @@ class PcfEstimate:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _common_window(batch):
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    w = batch[0].window
-    for config in batch:
-        if config.window != w:
-            raise ValueError("all replicates must share the same window")
-    return w
-
-
 def _bin_edges(edges) -> np.ndarray:
     """`edges` as floats; like `np.histogram`, refuses decreasing edges."""
     edges = np.asarray(edges, dtype=float)
@@ -82,10 +74,10 @@ def _bin_index(edges):
     value's bin plus one, 0 below the first edge.
 
     When `edges` is exactly np.linspace(edges[0], edges[-1], edges.size), as
-    `default_pcf_bins` and the CLI build it, the index is guessed from the bin
-    width and then moved by at most one, after one comparison with the edge on
-    each side; the guess is off by at most one, since only a few roundings
-    separate it from the exact quotient.  Other edges are searched.
+    `estimate_pcf`'s default and the CLI build them, the index is guessed from
+    the bin width and then moved by at most one, after one comparison with the
+    edge on each side; the guess is off by at most one, since only a few
+    roundings separate it from the exact quotient.  Other edges are searched.
     """
     m = edges.size
     uniform = np.linspace(edges[0], edges[-1], m)
@@ -153,7 +145,7 @@ def estimate_intensity(batch, bins=20):
 
     Returns (bin_edges, rate, stderr); `bins` is a count or explicit edges.
     """
-    w = _common_window(batch)
+    w = batch_window(batch)
     edges = _bin_edges(np.linspace(w.a, w.b, bins + 1) if np.isscalar(bins) else bins)
     widths = np.diff(edges)
     flat, rid = _flat_points(batch)
@@ -165,16 +157,12 @@ def estimate_intensity(batch, bins=20):
     return edges, rate, stderr
 
 
-def default_pcf_bins(window, n_bins: int = 50) -> np.ndarray:
-    """Uniform bins over [0, window_length / 4]."""
-    return np.linspace(0.0, window.length / 4.0, n_bins + 1)
-
-
 def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
-    """Pair-correlation estimate for a translation-invariant process."""
-    w = _common_window(batch)
+    """Pair-correlation estimate for a translation-invariant process; the
+    default bins are 50 uniform ones over [0, window length / 4]."""
+    w = batch_window(batch)
     if bin_edges is None:
-        bin_edges = default_pcf_bins(w)
+        bin_edges = np.linspace(0.0, w.length / 4.0, 51)
     edges = _bin_edges(bin_edges)
     if edges[-1] > w.length:
         raise ValueError("bins extend beyond the window length")
@@ -199,7 +187,7 @@ def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
 
 def count_statistics(batch) -> dict:
     """Across-replicate count mean, variance, and Fano factor."""
-    _common_window(batch)
+    batch_window(batch)
     counts = np.array([len(c) for c in batch], dtype=float)
     mean = counts.mean()
     variance = counts.var(ddof=1) if counts.size > 1 else 0.0

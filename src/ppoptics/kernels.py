@@ -9,9 +9,11 @@ map, `basis(x) -> (rank, len(x))`; for Hermite kernels that is a single
 pass of the three-term recurrence (`HermiteBasis`), and a kernel whose
 spectrum defines no point process cannot be constructed.  Only spectral
 kernels have a registry name (`kernel_from_spec`), since only they can be
-sampled from the command line.
+sampled from the command line.  A spectral kernel owns its observation
+`Window`, the one window type of the package, and is sampled on it.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +25,24 @@ HERMITE_MAX_MODES = 200
 HERMITE_SAFE_RANGE = 40.0  # |x| beyond which the recurrence start underflows
 # rounding slack on the existence bounds of a kernel spectrum
 _SPECTRUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Window:
+    """The observation interval [a, b], with finite a < b."""
+
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"window endpoints must be finite, got [{self.a}, {self.b}]")
+        if not self.a < self.b:
+            raise ValueError(f"window must satisfy a < b, got [{self.a}, {self.b}]")
+
+    @property
+    def length(self) -> float:
+        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -149,7 +169,7 @@ class SpectralKernel:
     eigenvalues: np.ndarray
     basis: callable
     eta: int
-    window: tuple
+    window: Window
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -166,9 +186,6 @@ class SpectralKernel:
             )
         if len(self.basis) != len(self.eigenvalues):
             raise ValueError("one basis function per eigenvalue required")
-        a, b = self.window
-        if not a < b:
-            raise ValueError(f"window must satisfy a < b, got {self.window}")
 
     @property
     def rank(self) -> int:
@@ -197,7 +214,7 @@ def hermite_projection_kernel(n_modes: int) -> SpectralKernel:
         eigenvalues=np.ones(n_modes),
         basis=HermiteBasis(n_modes),
         eta=-1,
-        window=(-half_width, half_width),
+        window=Window(-half_width, half_width),
     )
 
 

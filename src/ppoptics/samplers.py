@@ -37,15 +37,16 @@ own child generator; a private byte budget sets the block size.
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian_field import _intensity_sampler
-from .kernels import SpectralKernel
+from .kernels import SpectralKernel, Window
 
 
+# grid density of every sampler on a CellGrid, and of the CLI, unless given
+DEFAULT_NODES_PER_UNIT = 4096
 # largest expected point count per Poisson replicate, rate_max * window length;
 # each replicate holds a few float arrays of about this length
 _POISSON_MAX_MEAN = 1e7
@@ -56,22 +57,6 @@ _GRID_MAX_CELLS = 2**24
 
 class RankLossError(RuntimeError):
     """The sequential projection sampler ran out of diagonal mass."""
-
-
-@dataclass(frozen=True)
-class Window:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"window endpoints must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
-            raise ValueError(f"window must satisfy a < b, got [{self.a}, {self.b}]")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
 
 
 class CellGrid:
@@ -126,6 +111,17 @@ class PointConfiguration:
         return PointConfiguration(
             self.points + offset, Window(self.window.a + offset, self.window.b + offset)
         )
+
+
+def batch_window(batch) -> Window:
+    """The window that every replicate of a nonempty batch shares."""
+    if not batch:
+        raise ValueError("batch must be nonempty")
+    w = batch[0].window
+    for config in batch:
+        if config.window != w:
+            raise ValueError("all replicates must share the same window")
+    return w
 
 
 def _child_rngs(seed, reps: int):
@@ -216,7 +212,7 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
 
 
 def sample_permanental_batch(
-    cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = 4096
+    cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
 ) -> list:
     """Permanental samples with kernel scale * cov.
 
@@ -380,9 +376,9 @@ def _projection_features(kernel: SpectralKernel, grid: CellGrid):
 
 
 def sample_dpp_mixture_batch(
-    kernel, w: Window, reps: int, seed, nodes_per_unit: int = 4096
+    kernel, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
 ) -> list:
-    """DPP samples via the Bernoulli mixture over projection kernels.
+    """DPP samples on `kernel.window` via the Bernoulli mixture over projection kernels.
 
     Each replicate keeps eigenfunction i with probability lambda_i, which
     a determinantal `SpectralKernel` holds in [0, 1], and samples the
@@ -392,7 +388,7 @@ def sample_dpp_mixture_batch(
     """
     if kernel.eta != -1:
         raise ValueError("the Bernoulli mixture construction is determinantal (eta=-1)")
-    grid = CellGrid(w, nodes_per_unit)
+    grid = CellGrid(kernel.window, nodes_per_unit)
     return _hkpv_chain(*_projection_features(kernel, grid), grid, reps, seed)
 
 
@@ -401,7 +397,7 @@ def sample_dpp_mixture_batch(
 
 
 def sample_fock_pp_batch(
-    phi_plus, k: int, w: Window, reps: int, seed, nodes_per_unit: int = 4096
+    phi_plus, k: int, w: Window, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
 ) -> list:
     """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2."""
     if k < 1:
@@ -425,9 +421,9 @@ def save_batch_csv(path, batch: list, meta: dict):
     """One point per row (replicate_id, t); metadata in a JSON header line.
 
     The rows are what `csv.writer` writes for [r, repr(t)]: no field needs
-    quoting, and every row ends in CRLF.
+    quoting, and every row ends in CRLF.  The batch must be nonempty, on one window.
     """
-    window = batch[0].window
+    window = batch_window(batch)
     header = dict(meta)
     header["window"] = [window.a, window.b]
     header["n_replicates"] = len(batch)

@@ -92,7 +92,7 @@ def matched_batches():
     """
     unit = Window(0.0, 1.0)
     kern = kernels.hermite_projection_kernel(10)
-    raw = samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), REPS_PCF, seed=40)
+    raw = samplers.sample_dpp_mixture_batch(kern, REPS_PCF, seed=40)
     bulk = Window(-1.5, 1.5)
     dpp = []
     for c in raw:
@@ -145,7 +145,7 @@ def test_c05_dispersion_ordering():
     mixture = kernels.SpectralKernel(np.full(12, 0.55), base.basis, -1, base.window)
     counts_d = np.array([
         len(c) for c in samplers.sample_dpp_mixture_batch(
-            mixture, Window(*base.window), 10_000, seed=50, nodes_per_unit=1024
+            mixture, 10_000, seed=50, nodes_per_unit=1024
         )
     ], dtype=float)
     fano_d, se_d = batched_fano(counts_d)
@@ -159,9 +159,7 @@ def test_c05_dispersion_ordering():
     fano_g, se_g = batched_fano(counts_g)
 
     kern = kernels.hermite_projection_kernel(10)
-    proj = samplers.sample_dpp_mixture_batch(
-        kern, Window(*kern.window), 300, seed=52, nodes_per_unit=1024
-    )
+    proj = samplers.sample_dpp_mixture_batch(kern, 300, seed=52, nodes_per_unit=1024)
     var_proj = estimators.count_statistics(proj)["variance"]
 
     ok = (fano_d + 3 * se_d < 1.0) and (fano_g - 3 * se_g > 1.0) and var_proj == 0.0

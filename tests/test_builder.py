@@ -118,6 +118,11 @@ class TestInducedKernel:
         spec = GrandCanonicalSpec(1.0, 0.0, np.array([0.5, 1.0, 1.5]), -1)
         assert builder.induced_kernel(spec, base.basis, base.window).basis is base.basis
 
+    def test_window_passes_through(self):
+        base = kernels.hermite_projection_kernel(3)
+        spec = GrandCanonicalSpec(1.0, 0.0, np.array([0.5, 1.0, 1.5]), -1)
+        assert builder.induced_kernel(spec, base.basis, base.window).window is base.window
+
     def test_eta_propagates(self):
         base = kernels.hermite_projection_kernel(2)
         spec = GrandCanonicalSpec(1.0, 0.0, np.array([1.0, 2.0]), +1)

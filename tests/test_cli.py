@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from ppoptics import cli, fock, samplers
+from ppoptics import cli, fock, kernels, samplers
 from ppoptics.samplers import load_batch_csv
 
 
@@ -72,6 +72,20 @@ class TestSample:
         assert code == 0
         batch, _ = load_batch_csv(out)
         assert all(len(c) == 10 for c in batch)
+
+    def test_window_without_flag_samples_the_kernel_on_it(self, tmp_path):
+        # the data rows equal, byte for byte, those of the kernel rebuilt on --window
+        out, want = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert run(["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10",
+                    "--window", "-8", "8", "--reps", "20", "--seed", "5",
+                    "--out", str(out)]) == 0
+        kern = kernels.SpectralKernel(
+            np.ones(10), kernels.HermiteBasis(10), -1, kernels.Window(-8, 8)
+        )
+        samplers.save_batch_csv(want, samplers.sample_dpp_mixture_batch(kern, 20, 5), {})
+        rows = out.read_bytes().split(b"\n", 1)[1]
+        assert rows == want.read_bytes().split(b"\n", 1)[1]
+        assert rows.count(b"\r\n") == 1 + 20 * 10
 
     def test_invalid_kernel_spec_json_error(self, tmp_path, capsys):
         code = run([
@@ -161,6 +175,18 @@ class TestPcf:
             "--theory", "permanental:sigma=0.1", "--out", str(tmp_path / "pcf.csv"),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("sigma", [0.03, 0.1, 0.5])
+    @pytest.mark.parametrize("bins, rmax", [(7, 0.1), (50, 0.25), (200, 1.0)])
+    def test_theory_curve_equals_per_bin_closed_form(self, sigma, bins, rmax):
+        # one array call gives, bit for bit, the closed form evaluated bin by bin
+        edges = np.linspace(0.0, rmax, bins + 1)
+        r_mid = 0.5 * (edges[:-1] + edges[1:])
+        cov = kernels.analytic_lorentz_kernel(sigma, 8.0 / sigma)
+        c0 = cov.at_zero
+        want = [kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid]
+        got = cli._theory_curve(f"permanental:sigma={sigma}", r_mid)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_missing_batch(self, tmp_path, capsys):
         code = run([

@@ -125,9 +125,7 @@ class TestCountStatistics:
 
     def test_projection_dpp_variance_exactly_zero(self):
         kern = kernels.hermite_projection_kernel(6)
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), 200, seed=12, nodes_per_unit=512
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, 200, seed=12, nodes_per_unit=512)
         stats = estimators.count_statistics(batch)
         assert stats["variance"] == 0.0
 

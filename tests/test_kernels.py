@@ -75,7 +75,7 @@ class TestHermiteFunctions:
         # trapezoid rule on the window, nodes resolving the fastest oscillation
         # eight times over; it converges spectrally for these smooth functions
         kern = kernels.hermite_projection_kernel(20)
-        a, b = kern.window
+        a, b = kern.window.a, kern.window.b
         n_nodes = int(8.0 * (np.sqrt(2.0 * kern.rank) + 1.0) * (b - a) / np.pi) + 64
         x = np.linspace(a, b, n_nodes)
         w = np.full(n_nodes, x[1] - x[0])
@@ -86,10 +86,16 @@ class TestHermiteFunctions:
 
     def test_trace_of_projection(self):
         kern = kernels.hermite_projection_kernel(10)
-        a, b = kern.window
+        a, b = kern.window.a, kern.window.b
         x = np.linspace(a, b, 8192)
         trace = np.trapezoid(kern.diagonal(x), x)
         assert trace == pytest.approx(10.0, abs=1e-6)
+
+    def test_window_is_a_window(self):
+        half_width = np.sqrt(2.0 * 10) + 10.0
+        window = kernels.hermite_projection_kernel(10).window
+        assert window == kernels.Window(-half_width, half_width)
+        assert window.length == 2 * half_width
 
     def test_rank_one_is_gaussian(self):
         kern = kernels.hermite_projection_kernel(1)
@@ -149,7 +155,7 @@ class TestHermiteBasis:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="one basis function per eigenvalue"):
-            kernels.SpectralKernel(np.ones(3), kernels.HermiteBasis(4), -1, (-5, 5))
+            kernels.SpectralKernel(np.ones(3), kernels.HermiteBasis(4), -1, kernels.Window(-5, 5))
 
 
 class TestFermiSea:

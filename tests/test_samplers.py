@@ -60,6 +60,13 @@ class TestPointConfiguration:
         assert np.allclose(c.points, [2.25, 2.5])
         assert c.window == Window(2.0, 3.0)
 
+    def test_window_is_the_kernels_window(self):
+        # one window type: a kernel's window is the window its samples live on
+        assert Window is kernels.Window
+        kern = kernels.hermite_projection_kernel(3)
+        (c,) = samplers.sample_dpp_mixture_batch(kern, 1, 0, nodes_per_unit=256)
+        assert c.window is kern.window
+
     @pytest.mark.parametrize("a, b", [(0, np.inf), (-np.inf, 1), (np.nan, 1), (0, np.nan)])
     def test_window_needs_finite_endpoints(self, a, b):
         with pytest.raises(ValueError, match="window endpoints must be finite"):
@@ -316,7 +323,7 @@ class TestPermanental:
 class TestProjectionDpp:
     def test_cardinality_always_n(self):
         kern = kernels.hermite_projection_kernel(10)
-        batch = samplers.sample_dpp_mixture_batch(kern, Window(*kern.window), 300, seed=5)
+        batch = samplers.sample_dpp_mixture_batch(kern, 300, seed=5)
         assert all(len(c) == 10 for c in batch)
         for c in batch[:20]:
             assert_simple_sorted(c)
@@ -324,9 +331,8 @@ class TestProjectionDpp:
     def test_rank_one_density_chi_square(self):
         # N=1 draws follow |phi_0|^2, a standard normal with sigma = 1/sqrt(2)
         kern = kernels.hermite_projection_kernel(1)
-        w = Window(*kern.window)
         reps = 4000
-        batch = samplers.sample_dpp_mixture_batch(kern, w, reps, seed=6)
+        batch = samplers.sample_dpp_mixture_batch(kern, reps, seed=6)
         pts = np.concatenate([c.points for c in batch])
         edges = np.array([-np.inf, -1.5, -1.0, -0.6, -0.3, 0.0, 0.3, 0.6, 1.0, 1.5, np.inf])
         observed, _ = np.histogram(pts, edges)
@@ -351,9 +357,8 @@ class TestProjectionDpp:
         full = kernels.hermite_projection_kernel(4)
         masked = kernels.SpectralKernel([1.0, 0.0, 1.0, 1.0], full.basis, -1, full.window)
         kept = kernels.SpectralKernel(np.ones(3), Rows([0, 2, 3]), -1, full.window)
-        w = Window(*full.window)
-        got = samplers.sample_dpp_mixture_batch(masked, w, 20, seed=4, nodes_per_unit=256)
-        want = samplers.sample_dpp_mixture_batch(kept, w, 20, seed=4, nodes_per_unit=256)
+        got = samplers.sample_dpp_mixture_batch(masked, 20, seed=4, nodes_per_unit=256)
+        want = samplers.sample_dpp_mixture_batch(kept, 20, seed=4, nodes_per_unit=256)
         assert [len(c) for c in got] == [3] * 20
         for a, b in zip(got, want):
             assert a.points.tobytes() == b.points.tobytes()
@@ -361,7 +366,7 @@ class TestProjectionDpp:
     def test_all_zero_spectrum_is_empty(self):
         full = kernels.hermite_projection_kernel(3)
         empty = kernels.SpectralKernel(np.zeros(3), full.basis, -1, full.window)
-        batch = samplers.sample_dpp_mixture_batch(empty, Window(*full.window), 4, seed=0)
+        batch = samplers.sample_dpp_mixture_batch(empty, 4, seed=0)
         assert [len(c) for c in batch] == [0] * 4
 
     def test_chain_gets_kept_columns_and_unsnapped_spectrum(self, monkeypatch):
@@ -375,7 +380,7 @@ class TestProjectionDpp:
         monkeypatch.setattr(samplers, "_hkpv_chain", chain)
         full = kernels.hermite_projection_kernel(4)
         near = kernels.SpectralKernel([1.0, 0.0, 1.0 - 1e-12, 1e-12], full.basis, -1, full.window)
-        samplers.sample_dpp_mixture_batch(near, Window(*full.window), 1, 0, nodes_per_unit=256)
+        samplers.sample_dpp_mixture_batch(near, 1, 0, nodes_per_unit=256)
         assert seen["columns"] == 3
         assert seen["lam"].tolist() == [1.0, 1.0 - 1e-12, 1e-12]
 
@@ -386,9 +391,7 @@ class TestProjectionDpp:
         # density K(x, x) / 2 (E[x^2] = 1) would give E[u^2] = 2
         kern = kernels.hermite_projection_kernel(2)
         reps = 4000
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), reps, seed, nodes_per_unit=1024
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, reps, seed, nodes_per_unit=1024)
         gap2 = np.array([np.diff(c.points)[0] ** 2 for c in batch])
         se = gap2.std(ddof=1) / np.sqrt(reps)
         assert abs(gap2.mean() - 3.0) < 4 * se
@@ -397,12 +400,11 @@ class TestProjectionDpp:
         # the chain runs in blocks, so peak memory stays below what one (reps, rank,
         # rank) complex direction array for the whole batch would take
         kern = kernels.hermite_projection_kernel(40)
-        w = Window(*kern.window)
         peaks = {}
         for reps in (250, 2000):
             tracemalloc.start()
             try:
-                batch = samplers.sample_dpp_mixture_batch(kern, w, reps, 0, nodes_per_unit=16)
+                batch = samplers.sample_dpp_mixture_batch(kern, reps, 0, nodes_per_unit=16)
                 peaks[reps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -414,14 +416,13 @@ class TestProjectionDpp:
     def test_grid_doubling_convergence(self):
         # empirical mean position is stable under doubling the grid density
         kern = kernels.hermite_projection_kernel(5)
-        w = Window(*kern.window)
         m1 = np.mean(
             [c.points.mean() for c in
-             samplers.sample_dpp_mixture_batch(kern, w, 400, 7, nodes_per_unit=512)]
+             samplers.sample_dpp_mixture_batch(kern, 400, 7, nodes_per_unit=512)]
         )
         m2 = np.mean(
             [c.points.mean() for c in
-             samplers.sample_dpp_mixture_batch(kern, w, 400, 7, nodes_per_unit=1024)]
+             samplers.sample_dpp_mixture_batch(kern, 400, 7, nodes_per_unit=1024)]
         )
         assert abs(m1 - m2) < 0.1
 
@@ -493,25 +494,19 @@ class TestDppMixture:
 
     def test_all_ones_has_fixed_cardinality(self):
         kern = self.make_kernel([1.0] * 6)
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), 100, seed=8, nodes_per_unit=512
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, 100, seed=8, nodes_per_unit=512)
         assert all(len(c) == 6 for c in batch)
 
     def test_all_zeros_empty(self):
         kern = self.make_kernel([0.0] * 6)
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), 5, 0, nodes_per_unit=512
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, 5, 0, nodes_per_unit=512)
         assert all(len(c) == 0 for c in batch)
 
     def test_mean_count_is_trace(self):
         lams = [0.9, 0.7, 0.5, 0.3, 0.1]
         kern = self.make_kernel(lams)
         reps = 4000
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), reps, seed=9, nodes_per_unit=512
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, reps, seed=9, nodes_per_unit=512)
         counts = batch_counts(batch)
         want = sum(lams)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
@@ -520,9 +515,7 @@ class TestDppMixture:
     def assert_poisson_binomial_counts(self, lams, seed):
         reps = 4000
         kern = self.make_kernel(lams)
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, Window(*kern.window), reps, seed, nodes_per_unit=512
-        )
+        batch = samplers.sample_dpp_mixture_batch(kern, reps, seed, nodes_per_unit=512)
         pmf = np.array([1.0])
         for lam in lams:
             pmf = np.convolve(pmf, [1.0 - lam, lam])
@@ -595,7 +588,7 @@ class TestValidateKernel:
 
     def base(self, lams, eta):
         basis = kernels.hermite_projection_kernel(len(lams)).basis
-        return kernels.SpectralKernel(lams, basis, eta, (-10, 10))
+        return kernels.SpectralKernel(lams, basis, eta, Window(-10, 10))
 
     def test_valid_determinantal(self):
         assert list(self.base([0.5, 1.0, 0.0], -1).eigenvalues) == [0.5, 1.0, 0.0]
@@ -682,6 +675,21 @@ class TestSerialization:
         path.write_text("\n".join([f"# ppoptics-batch {header}", "replicate_id,t", *rows]) + "\n")
         with pytest.raises(ValueError, match=message):
             samplers.load_batch_csv(path)
+
+    def test_save_refuses_an_empty_batch(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(ValueError, match="batch must be nonempty"):
+            samplers.save_batch_csv(path, [], {"seed": 0})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("windows", [((0, 1), (0, 0.3)), ((0, 10), (0, 1))])
+    def test_save_refuses_mixed_windows(self, tmp_path, windows):
+        # one header window would reload every replicate on the first one's window
+        batch = [PointConfiguration([0.25], Window(*w)) for w in windows]
+        path = tmp_path / "mixed.csv"
+        with pytest.raises(ValueError, match="all replicates must share the same window"):
+            samplers.save_batch_csv(path, batch, {"seed": 0})
+        assert not path.exists()
 
     def test_load_without_replicates(self, tmp_path):
         path = tmp_path / "none.csv"
