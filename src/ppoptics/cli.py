@@ -28,13 +28,6 @@ def _resolve_out(path):
     return path
 
 
-def _json_error(report: dict) -> int:
-    """Report a user error as one JSON line on stderr; returns exit code 2."""
-    json.dump(report, sys.stderr)
-    sys.stderr.write("\n")
-    return 2
-
-
 def parse_kernel_arg(text: str) -> dict:
     """'hermite:n_modes=10' -> {'name': 'hermite', 'params': {'n_modes': 10.0}}."""
     name, _, rest = text.partition(":")
@@ -52,76 +45,69 @@ def parse_kernel_arg(text: str) -> dict:
 # sample
 
 
-def cmd_sample(args) -> int:
-    meta = {"family": args.family, "seed": args.seed, "command": "sample"}
-    try:
-        w = kernels.Window(args.window[0], args.window[1])
-        if args.reps < 1:
-            raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        if args.lambdas and args.family != "dpp-mixture":
-            raise ValueError(f"--lambdas is for the dpp-mixture family, not {args.family}")
-        if args.family == "poisson":
-            if args.rate is None:
-                raise ValueError("--rate is required for the poisson family")
-            meta["rate"] = args.rate
-            batch = samplers.sample_poisson_batch(
-                lambda t: np.full_like(np.asarray(t, dtype=float), args.rate),
-                args.rate,
-                w,
-                args.reps,
-                args.seed,
-            )
-        elif args.family == "permanental":
-            meta.update({"sigma": args.sigma, "omega": args.omega, "scale": args.scale})
-            cov = kernels.analytic_lorentz_kernel(args.sigma, args.omega)
-            meta["nodes_per_unit"] = args.nodes_per_unit
-            batch = samplers.sample_permanental_batch(
-                cov, args.scale, w, args.reps, args.seed, args.nodes_per_unit
-            )
-        elif args.family in ("projection-dpp", "dpp-mixture"):
-            # a projection takes its eigenvalues from the kernel, a mixture from --lambdas
-            spec = parse_kernel_arg(args.kernel)
-            mixture = args.family == "dpp-mixture"
-            lambdas = [float(x) for x in args.lambdas.split(",")] if mixture else None
-            meta["kernel"] = spec
-            if mixture:
-                meta["lambdas"] = lambdas
-            kern = kernels.kernel_from_spec(spec)
-            if mixture and len(lambdas) != kern.rank:
-                raise ValueError("need one lambda per kernel eigenvalue")
-            if args.window_from_kernel:
-                # recorded before the kernel on w checks its eigenvalues, so
-                # that an error reports the full configuration
-                w = kern.window
-                meta["window_from_kernel"] = True
-            kern = kernels.SpectralKernel(lambdas or kern.eigenvalues, kern.basis, -1, w)
-            meta["nodes_per_unit"] = args.nodes_per_unit
-            batch = samplers.sample_dpp_mixture_batch(
-                kern, args.reps, args.seed, args.nodes_per_unit
-            )
-        elif args.family == "fock":
-            meta.update({"k": args.k, "center": args.center, "width": args.width,
-                         "nodes_per_unit": args.nodes_per_unit})
-            c, s = args.center, args.width
-            if not 0 < s < np.inf:
-                raise ValueError(f"--width must be positive and finite, got {s}")
-            batch = samplers.sample_fock_pp_batch(
-                lambda t: np.exp(-((t - c) ** 2) / (4.0 * s**2)),
-                args.k,
-                w,
-                args.reps,
-                args.seed,
-                args.nodes_per_unit,
-            )
-        else:
-            raise ValueError(f"unknown family {args.family!r}")
-    except ValueError as exc:
-        return _json_error({"error": str(exc), "config": meta})
+def cmd_sample(args, config: dict) -> int:
+    """Sample a batch to CSV; `config`, filled as it is resolved, is its header."""
+    config.update({"family": args.family, "seed": args.seed, "command": "sample"})
+    w = kernels.Window(args.window[0], args.window[1])
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if args.lambdas and args.family != "dpp-mixture":
+        raise ValueError(f"--lambdas is for the dpp-mixture family, not {args.family}")
+    if args.family == "poisson":
+        if args.rate is None:
+            raise ValueError("--rate is required for the poisson family")
+        config["rate"] = args.rate
+        batch = samplers.sample_poisson_batch(
+            lambda t: np.full_like(np.asarray(t, dtype=float), args.rate),
+            args.rate,
+            w,
+            args.reps,
+            args.seed,
+        )
+    elif args.family == "permanental":
+        config.update({"sigma": args.sigma, "omega": args.omega, "scale": args.scale})
+        cov = kernels.analytic_lorentz_kernel(args.sigma, args.omega)
+        config["nodes_per_unit"] = args.nodes_per_unit
+        batch = samplers.sample_permanental_batch(
+            cov, args.scale, w, args.reps, args.seed, args.nodes_per_unit
+        )
+    elif args.family in ("projection-dpp", "dpp-mixture"):
+        # a projection takes its eigenvalues from the kernel, a mixture from --lambdas
+        spec = parse_kernel_arg(args.kernel)
+        mixture = args.family == "dpp-mixture"
+        lambdas = [float(x) for x in args.lambdas.split(",")] if mixture else None
+        config["kernel"] = spec
+        if mixture:
+            config["lambdas"] = lambdas
+        kern = kernels.kernel_from_spec(spec)
+        if mixture and len(lambdas) != kern.rank:
+            raise ValueError("need one lambda per kernel eigenvalue")
+        if args.window_from_kernel:
+            # recorded before the kernel on w checks its eigenvalues, so
+            # that an error reports the full configuration
+            w = kern.window
+            config["window_from_kernel"] = True
+        kern = kernels.SpectralKernel(lambdas or kern.eigenvalues, kern.basis, -1, w)
+        config["nodes_per_unit"] = args.nodes_per_unit
+        batch = samplers.sample_dpp_mixture_batch(
+            kern, args.reps, args.seed, args.nodes_per_unit
+        )
+    else:  # fock, the last of the parser's choices
+        config.update({"k": args.k, "center": args.center, "width": args.width,
+                       "nodes_per_unit": args.nodes_per_unit})
+        c, s = args.center, args.width
+        if not 0 < s < np.inf:
+            raise ValueError(f"--width must be positive and finite, got {s}")
+        batch = samplers.sample_fock_pp_batch(
+            lambda t: np.exp(-((t - c) ** 2) / (4.0 * s**2)),
+            args.k,
+            w,
+            args.reps,
+            args.seed,
+            args.nodes_per_unit,
+        )
     out = _resolve_out(args.out)
-    try:
-        samplers.save_batch_csv(out, batch, meta)
-    except OSError as exc:
-        return _json_error({"error": str(exc), "config": meta})
+    samplers.save_batch_csv(out, batch, config)
     counts = [len(c) for c in batch]
     print(f"wrote {out}: {len(batch)} replicates, mean count {np.mean(counts):.3f}")
     return 0
@@ -131,47 +117,48 @@ def cmd_sample(args) -> int:
 # pcf
 
 
-def _theory_curve(theory: str, r_mid: np.ndarray) -> np.ndarray:
+def _theory_curve(theory: str, edges: np.ndarray, length: float) -> np.ndarray:
+    """What `estimate_pcf` expects in each bin on a window of `length` L: the bin
+    average of g(r) weighted by (L - r), with g(r) = 1 + exp(-2r/s) for
+    'permanental:sigma=s' (Macchi 1975)."""
     if theory == "poisson":
-        return np.ones_like(r_mid)
+        return np.ones(edges.size - 1)
     spec = parse_kernel_arg(theory)
-    sigma = spec["params"].get("sigma")
-    if spec["name"] != "permanental" or sigma is None:
+    if spec["name"] != "permanental" or set(spec["params"]) != {"sigma"}:
         raise ValueError(f"unknown theory {theory!r} (use 'poisson' or 'permanental:sigma=...')")
-    if not sigma > 0:
-        raise ValueError(f"theory sigma must be positive, got {sigma}")
-    cov = kernels.analytic_lorentz_kernel(sigma, spec["params"].get("omega", 8.0 / sigma))
-    c0 = cov.at_zero
-    return kernels.theoretical_pcf(cov(r_mid), c0, c0, +1)
+    sigma = spec["params"]["sigma"]
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"theory sigma must be positive and finite, got {sigma}")
+    r1, h = edges[:-1], np.diff(edges)
+    # int_bin (L - r) exp(-2r/s) dr = (s/2) exp(-2 r1/s) inner, with x = 2h/s
+    x = 2 * h / sigma
+    inner = -(length - r1 - sigma / 2) * np.expm1(-x) + h * np.exp(-x)
+    bunched = sigma / 2 * np.exp(-2 * r1 / sigma) * inner
+    return 1.0 + bunched / (h * (length - r1 - h / 2))
 
 
-def cmd_pcf(args) -> int:
+def cmd_pcf(args, config: dict) -> int:
     batch_path = _resolve_out(args.batch)
     if not os.path.exists(batch_path):
-        return _json_error({"error": f"batch file {batch_path} not found"})
-    try:
-        if args.bins < 1:
-            raise ValueError(f"--bins must be at least 1, got {args.bins}")
-        if args.rmax is not None and not 0 < args.rmax < np.inf:
-            raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
-        batch, meta = samplers.load_batch_csv(batch_path)
-        if not batch:
-            raise ValueError(f"batch file {batch_path} has no replicates")
-        rmax = args.rmax or samplers.batch_window(batch).length / 4.0
-        est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
-        g_theory = _theory_curve(args.theory, est.r_mid) if args.theory else None
-    except (ValueError, OSError) as exc:
-        return _json_error({"error": str(exc)})
+        raise ValueError(f"batch file {batch_path} not found")
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
+    if args.rmax is not None and not 0 < args.rmax < np.inf:
+        raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
+    batch, meta = samplers.load_batch_csv(batch_path)
+    if not batch:
+        raise ValueError(f"batch file {batch_path} has no replicates")
+    length = samplers.batch_window(batch).length
+    rmax = args.rmax or length / 4.0
+    est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
+    g_theory = _theory_curve(args.theory, est.bin_edges, length) if args.theory else None
     header = "# ppoptics-pcf " + json.dumps(
         {"batch": os.path.basename(batch_path), "batch_meta": meta, "bins": args.bins,
          "rmax": rmax, "theory": args.theory},
         sort_keys=True,
     )
     out = _resolve_out(args.out)
-    try:
-        estimators.pcf_to_csv(out, est, g_theory, header)
-    except OSError as exc:
-        return _json_error({"error": str(exc)})
+    estimators.pcf_to_csv(out, est, g_theory, header)
     if g_theory is None:
         print(f"wrote {out}")
         return 0
@@ -382,26 +369,20 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: dict) -> int:
     """Run one suite; its `config` and `checks` (plus wick's `cases`) make the
     report, with the suite name and the overall verdict added here."""
-    try:
-        if args.cases < 1:
-            raise ValueError(f"--cases must be at least 1, got {args.cases}")
-        if args.reps < 1:
-            raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        report = SUITES[args.suite](args)
-    except ValueError as exc:
-        return _json_error({"error": str(exc)})
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    report = SUITES[args.suite](args)
     report["suite"] = args.suite
     report["pass"] = all(c["pass"] for c in report["checks"])
     text = json.dumps(report, sort_keys=True, indent=2, default=float)
     if args.out:
-        try:
-            with open(_resolve_out(args.out), "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _json_error({"error": str(exc)})
+        with open(_resolve_out(args.out), "w") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     for check in report["checks"]:
@@ -414,10 +395,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)  # a bad, missing or unknown argument: see `main`
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppoptics",
         description="Point-process sampling, estimation, and verification runs",
     )
@@ -464,10 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, not stored in the cached parser
-    command = {"sample": cmd_sample, "pcf": cmd_pcf, "verify": cmd_verify}[args.command]
-    return command(args)
+    """Run one command.  Every user error, a bad argument included, prints one JSON
+    line on stderr (with the configuration resolved so far, if any) and exits 2."""
+    config = {}
+    try:
+        args = build_parser().parse_args(argv)
+        # looked up per call, not stored in the cached parser
+        command = {"sample": cmd_sample, "pcf": cmd_pcf, "verify": cmd_verify}[args.command]
+        return command(args, config)
+    except (ValueError, OSError) as exc:
+        report = {"error": str(exc), "config": config} if config else {"error": str(exc)}
+        print(json.dumps(report), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -303,8 +303,8 @@ def gram_matrix(kernel: SpectralKernel, points) -> np.ndarray:
 def kernel_from_spec(spec: dict) -> SpectralKernel:
     """Build a spectral kernel from a JSON-style {'name': ..., 'params': {...}} spec.
 
-    The one name is 'hermite', whose mode count ('n_modes', 'N' or 'n')
-    must be a finite integer.
+    The one name is 'hermite', whose one parameter is its mode count, a
+    finite integer given once as 'n_modes', 'N' or 'n'.
     """
     try:
         name = spec["name"]
@@ -313,9 +313,13 @@ def kernel_from_spec(spec: dict) -> SpectralKernel:
         raise ValueError(f"malformed kernel spec {spec!r}") from exc
     if name != "hermite":
         raise ValueError(f"unknown kernel name {name!r}; known: ['hermite']")
-    n = next((params[key] for key in ("n_modes", "N", "n") if key in params), None)
-    if n is None:
+    if not params:
         raise ValueError("kernel 'hermite' is missing parameter 'n_modes'")
+    if len(params) > 1 or not params.keys() <= {"n_modes", "N", "n"}:
+        raise ValueError(
+            f"kernel 'hermite' takes one mode count, 'n_modes', 'N' or 'n'; got {sorted(params)}"
+        )
+    (n,) = params.values()
     if not (isinstance(n, numbers.Integral) or float(n).is_integer()):
         raise ValueError(f"the hermite mode count must be a finite integer, got {n!r}")
     return hermite_projection_kernel(int(n))

@@ -50,6 +50,8 @@ DEFAULT_NODES_PER_UNIT = 4096
 # largest expected point count per Poisson replicate, rate_max * window length;
 # each replicate holds a few float arrays of about this length
 _POISSON_MAX_MEAN = 1e7
+# largest expected share of a Poisson replicate's points that coincide in float64
+_POISSON_MAX_MERGED = 1e-6
 # most cells of one CellGrid: 128 MiB of centers, and a sampler holds a few
 # arrays of that length
 _GRID_MAX_CELLS = 2**24
@@ -137,7 +139,12 @@ def _simple_sorted(points: np.ndarray, window: Window, rng, cell: float) -> np.n
         dup = np.concatenate([[False], np.diff(pts) <= 0])
         pts[dup] += (rng.random(int(dup.sum())) - 0.5) * 1e-9 * cell
         pts = np.clip(np.sort(pts), window.a, window.b)
-    raise RuntimeError("could not break ties in a grid sample")
+    far = max(abs(window.a), abs(window.b))
+    raise ValueError(
+        f"could not break ties in a grid sample on [{window.a}, {window.b}]: the cell "
+        f"{cell:g} is re-jittered by 1e-9 of itself, below the float64 spacing "
+        f"{np.spacing(far):g} at {far:g}"
+    )
 
 
 def _inverse_cdf(cdf, total, u):
@@ -166,6 +173,15 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
         raise ValueError(
             f"rate_max * window length = {rate_max * w.length:g} expected points per "
             f"replicate, above the limit of {_POISSON_MAX_MEAN:g}"
+        )
+    # about this share of the points falls on a float64 value already taken and
+    # is merged by np.unique: at most 1e-9 for a window [0, b] under the mean cap
+    spacing = np.spacing(max(abs(w.a), abs(w.b)))
+    if not rate_max * spacing / 2 <= _POISSON_MAX_MERGED:
+        raise ValueError(
+            f"window [{w.a}, {w.b}] is too far from 0 for rate_max = {rate_max:g}: "
+            f"about {rate_max * spacing / 2:.3g} of the points would merge at the float64 "
+            f"spacing {spacing:g}, above the limit of {_POISSON_MAX_MERGED:g}"
         )
     out = []
     for rng in _child_rngs(seed, reps):

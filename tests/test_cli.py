@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from ppoptics import cli, fock, kernels, samplers
@@ -176,17 +177,31 @@ class TestPcf:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("sigma", [0.03, 0.1, 0.5])
+    def test_permanental_theory_bin_width_sigma_exit_zero(self, tmp_path):
+        # bins one sigma wide: the curve at the bin midpoint is 6.2 stderr below
+        # the first bin, its bin expectation within 1.8 stderr of every bin
+        batch = tmp_path / "batch.csv"
+        assert run([
+            "sample", "--family", "permanental", "--sigma", "0.005", "--omega", "1000",
+            "--scale", "25", "--reps", "4000", "--seed", "0", "--out", str(batch),
+        ]) == 0
+        assert run(["pcf", "--batch", str(batch), "--theory", "permanental:sigma=0.005",
+                    "--out", str(tmp_path / "pcf.csv")]) == 0
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.03, 0.1, 0.5, 10.0])
     @pytest.mark.parametrize("bins, rmax", [(7, 0.1), (50, 0.25), (200, 1.0)])
     def test_theory_curve_equals_per_bin_closed_form(self, sigma, bins, rmax):
-        # one array call gives, bit for bit, the closed form evaluated bin by bin
+        # the estimator's bin expectation of 1 + exp(-2r/sigma), weighted by (L - r),
+        # against quadrature bin by bin, with rmax at the CLI default L / 4 and at L
         edges = np.linspace(0.0, rmax, bins + 1)
-        r_mid = 0.5 * (edges[:-1] + edges[1:])
-        cov = kernels.analytic_lorentz_kernel(sigma, 8.0 / sigma)
-        c0 = cov.at_zero
-        want = [kernels.theoretical_pcf(cov(r), c0, c0, +1) for r in r_mid]
-        got = cli._theory_curve(f"permanental:sigma={sigma}", r_mid)
-        assert got.tobytes() == np.array(want).tobytes()
+        for length in (4.0 * rmax, rmax):
+            want = [
+                1.0 + quad(lambda r: (length - r) * np.exp(-2.0 * r / sigma), r1, r2,
+                           epsabs=0.0, epsrel=1e-13)[0] / quad(lambda r: length - r, r1, r2)[0]
+                for r1, r2 in zip(edges[:-1], edges[1:])
+            ]
+            got = cli._theory_curve(f"permanental:sigma={sigma}", edges, length)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_missing_batch(self, tmp_path, capsys):
         code = run([
@@ -295,6 +310,17 @@ class TestUserErrors:
         # 1e11 cells: refused before the grid's arrays (745 GiB of centers) exist
         ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
+        # float64 spacing 1.2e-4 at 1e12, against cells of 2.4e-4
+        ["sample", "--family", "permanental", "--scale", "25", "--reps", "20",
+         "--window", "1e12", "1000000000001"],
+        # about 3% of the points would merge in np.unique
+        ["sample", "--family", "poisson", "--rate", "500", "--window", "1e12",
+         "1000000000001", "--reps", "200", "--seed", "1"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10,n_modes=12",
+         "--window-from-kernel"],
+        ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10,nmodes=3",
+         "--window-from-kernel"],
+        ["pcf", "--batch", "{batch}", "--theory", "permanental:sigma=0.1,sgima=5"],
     ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
@@ -308,7 +334,9 @@ class TestUserErrors:
             "nan-omega", "nan-scale", "negative-nodes-per-unit",
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
             "batch-is-a-directory", "fock-zero-width", "fock-nan-width", "fock-nan-center",
-            "fock-too-many-cells", "permanental-too-many-cells"])
+            "fock-too-many-cells", "permanental-too-many-cells", "permanental-far-window",
+            "poisson-far-window", "hermite-two-mode-counts", "hermite-unknown-key",
+            "theory-unknown-key"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]
@@ -322,6 +350,32 @@ class TestUserErrors:
         assert err.count("\n") == 1
         assert "error" in json.loads(err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "poisson", "--rate", "abc", "--out", "{out}"],
+        ["sample", "--family", "bogus", "--out", "{out}"],
+        ["sample", "--family", "poisson", "--rate", "5"],
+        ["pcf", "--out", "{out}"],
+        ["sample", "--family", "poisson", "--rate", "5", "--bogus", "--out", "{out}"],
+        [],
+    ], ids=["bad-value", "bad-choice", "missing-out", "missing-batch", "unknown-option",
+            "no-command"])
+    def test_argument_error_json(self, argv, tmp_path, capsys):
+        # argparse's errors take the same path as every other user error
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run([a.format(out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "error" in json.loads(captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ppoptics sample")
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--family", "poisson", "--rate", "5", "--reps", "2"],
