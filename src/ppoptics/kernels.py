@@ -23,6 +23,11 @@ import numpy as np
 
 HERMITE_MAX_MODES = 200
 HERMITE_SAFE_RANGE = 40.0  # |x| beyond which the recurrence start underflows
+# the coefficients sqrt(2/(k+1)) and sqrt(k/(k+1)) of the Hermite recurrence, k >= 1
+_RECURRENCE_UP = np.sqrt(2.0 / np.arange(2, HERMITE_MAX_MODES))
+_RECURRENCE_BACK = np.sqrt(
+    np.arange(1, HERMITE_MAX_MODES - 1) / np.arange(2.0, HERMITE_MAX_MODES)
+).tolist()
 # rounding slack on the existence bounds of a kernel spectrum
 _SPECTRUM_TOL = 1e-12
 
@@ -114,7 +119,7 @@ def hermite_functions(n: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n < 1 or n > HERMITE_MAX_MODES:
         raise ValueError(f"n must be in 1..{HERMITE_MAX_MODES}, got {n}")
-    if np.any(np.abs(x) > HERMITE_SAFE_RANGE):
+    if (np.abs(x) > HERMITE_SAFE_RANGE).any():
         warnings.warn(
             f"Hermite recurrence start underflows for |x| > {HERMITE_SAFE_RANGE}; "
             "values there are flushed to 0",
@@ -124,19 +129,22 @@ def hermite_functions(n: int, x) -> np.ndarray:
     # sqrt(2) x psi_0 or x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_(k-1)
     # in the order they are written, so the rows equal those expressions bit for bit
     out = np.empty((n, x.size))
-    np.multiply(x, x, out=out[0])
-    out[0] *= -0.5
-    np.exp(out[0], out=out[0])
-    out[0] *= np.pi ** -0.25
+    row = out[0]
+    np.multiply(x, x, out=row)
+    row *= -0.5
+    np.exp(row, out=row)
+    row *= np.pi ** -0.25
     if n > 1:
         np.multiply(x, np.sqrt(2.0), out=out[1])
-        out[1] *= out[0]
+        out[1] *= row
+    # row k + 1 starts as sqrt(2/(k+1)) x, for every k at once
+    rest = out[2:]
+    np.multiply.outer(_RECURRENCE_UP[: len(rest)], x, out=rest)
     buf = np.empty(x.size)
-    for k in range(1, n - 1):
-        np.multiply(x, np.sqrt(2.0 / (k + 1)), out=buf)
-        buf *= out[k]
-        np.multiply(out[k - 1], np.sqrt(k / (k + 1.0)), out=out[k + 1])
-        np.subtract(buf, out[k + 1], out=out[k + 1])
+    for prev, cur, nxt, back in zip(out, out[1:], rest, _RECURRENCE_BACK):
+        nxt *= cur
+        np.multiply(prev, back, out=buf)
+        nxt -= buf
     return out
 
 

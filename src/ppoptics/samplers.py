@@ -27,12 +27,15 @@ Krishnapur, Peres and Virag 2006, Thm. 7; Lavancier, Moller and Rubak
 replicate keeps basis function i with probability lambda_i and runs the
 sequential chain of the same paper on the kept ones.  A projection kernel
 is the case where every lambda is 0 or 1: a function with lambda = 1 is
-kept by every replicate, one with lambda <= 0 by none, so its column is
-dropped before sampling.  The chain runs a block of replicates in lockstep.
-All replicates propose from one density, the diagonal of the columns left,
+kept by every replicate, one with lambda <= 0 by none, so it is dropped
+before sampling.  The chain runs a block of replicates in lockstep.  All
+replicates propose from one density, the diagonal of the functions left,
 through one CDF, and accept by exact rejection against their own residual
 diagonal.  Each block draws its keep masks, proposals and jitter from its
-own child generator; a private byte budget sets the block size.
+own child generator; a private byte budget sets the block size.  No
+(cells, rank) feature array is ever held: the grid keeps the diagonal,
+summed in slices of cells, and the chain evaluates the kernel's feature map
+at each round's proposals.
 """
 
 import csv
@@ -254,29 +257,33 @@ _CHAIN_BLOCK_BYTES = 16 * 2**20
 _MAX_TRIES = 2000
 
 
-def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
+def _hkpv_chain(features_at, diag, lam, grid: CellGrid, reps: int, seed) -> list:
     """DPP samples by the sequential chain of Hough, Krishnapur, Peres and
     Virag (2006), run for a block of replicates in lockstep.
 
-    `features[i, k]` is the k-th orthonormal basis function at cell i and
-    `diag` is sum_k |features[i, k]|^2.  Each replicate keeps column k with
-    probability lam[k] (all of them for a projection, lam = 1) and samples
-    the projection onto its kept columns.  After j accepted points its
-    conditional density is (K_r(x,x) - sum_i |<e_i, phi_r(x)>|^2) / (k_r - j),
-    with phi_r the kept features and e_i the orthonormalized directions of its
-    accepted points.  Every replicate proposes from the one fixed density
-    diag / sum(diag), which dominates K_r(x,x) pointwise, and accepts by exact
-    rejection; a step keeps each replicate's first accepted proposal.
+    `features_at(cells)` maps an array of cell indices to the orthonormal
+    basis functions at those cell centres, shaped `cells.shape + (rank,)`,
+    and `diag[i]` is the sum of their squared moduli at cell i.  Each
+    replicate keeps function k with probability lam[k] (all of them for a
+    projection, lam = 1) and samples the projection onto its kept functions.
+    After j accepted points its conditional density is
+    (K_r(x,x) - sum_i |<e_i, phi_r(x)>|^2) / (k_r - j), with phi_r the kept
+    features and e_i the orthonormalized directions of its accepted points.
+    Every replicate proposes from the one fixed density diag / sum(diag),
+    which dominates K_r(x,x) pointwise, and accepts by exact rejection; a
+    step keeps each replicate's first accepted proposal.  The features are
+    evaluated once per round, at that round's proposals.
 
     Replicates run in blocks sized by `_CHAIN_BLOCK_BYTES`; block b draws its
     keep masks, proposals and jitter from child b of the seed.
     """
-    rank = features.shape[1]
+    rank = lam.size
+    dtype = features_at(np.zeros(0, dtype=np.intp)).dtype
     cdf = np.cumsum(diag)
     trace = cdf[-1] * grid.cell
     # per replicate: the directions, their gathered copy and three (proposals, rank)
     # round arrays, with at most about `trace` <= rank proposals per round
-    block = max(1, _CHAIN_BLOCK_BYTES // (5 * max(rank, 1) ** 2 * features.itemsize))
+    block = max(1, _CHAIN_BLOCK_BYTES // (5 * max(rank, 1) ** 2 * dtype.itemsize))
     starts = range(0, reps, block)
     out = []
     for start, rng in zip(starts, _child_rngs(seed, len(starts))):
@@ -284,17 +291,21 @@ def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
         keep = rng.random((size, rank)) < lam
         k = keep.sum(axis=1)
         # conj_dirs[r, :, j] is the conjugate of replicate r's j-th direction
-        conj_dirs = np.zeros((size, rank, rank), dtype=features.dtype)
+        conj_dirs = np.zeros((size, rank, rank), dtype=dtype)
         cells = np.zeros((size, rank), dtype=int)
         for j in range(k.max(initial=0)):
             todo = np.flatnonzero(k > j)
             tries = 0
             while todo.size:
+                prev = conj_dirs[todo, :, :j]
+                kept = keep[todo]
                 if tries >= _MAX_TRIES:
-                    raise _stuck_error(features, keep[todo], conj_dirs[todo, :, :j], grid)
+                    raise _stuck_error(features_at, kept, prev, grid)
                 # a replicate accepts a proposal with probability about (k_r - j) / trace:
-                # one expected acceptance per replicate and round
-                b = min(int(np.ceil(trace / np.mean(k[todo] - j))), _MAX_TRIES - tries)
+                # one expected acceptance per replicate and round; the mean of k_r - j
+                # is the exact integer sum over the count, as np.mean gives it
+                left = (k[todo].sum() - j * todo.size) / todo.size
+                b = min(int(np.ceil(trace / left)), _MAX_TRIES - tries)
                 tries += b
                 u, v = rng.random((2, todo.size, b))
                 # the search runs on sorted keys; the cells go back in proposal order
@@ -302,20 +313,19 @@ def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
                 idx = np.empty(u.size, dtype=np.intp)
                 idx[order] = _inverse_cdf(cdf, cdf[-1], u.ravel()[order])
                 idx = idx.reshape(u.shape)
-                phi = features[idx]  # (todo, b, rank)
-                proj = phi @ conj_dirs[todo, :, :j]
+                phi = features_at(idx)  # (todo, b, rank)
+                proj = phi @ prev
                 # the directions live on the kept columns: only the norm needs the mask
-                norm2 = np.einsum("tbk,tk->tb", (phi * phi.conj()).real, keep[todo])
-                resid = norm2 - np.einsum("tbj,tbj->tb", proj, proj.conj()).real
+                norm2 = np.einsum("tbk,tk->tb", (phi * _conj(phi)).real, kept)
+                resid = norm2 - np.einsum("tbj,tbj->tb", proj, _conj(proj)).real
                 q = diag[idx]
                 ok = (v * q <= resid) & (q > 0)
                 hit = ok.any(axis=1)
                 first = ok.argmax(axis=1)[hit]
                 rows = todo[hit]
-                conj_dirs[rows, :, j] = _orthonormal(
-                    phi[hit, first] * keep[rows], proj[hit, first], norm2[hit, first],
-                    conj_dirs[rows, :, :j],
-                ).conj()
+                conj_dirs[rows, :, j] = _conj(_orthonormal(
+                    phi[hit, first] * kept[hit], proj[hit, first], norm2[hit, first], prev[hit]
+                ))
                 cells[rows, j] = idx[hit, first]
                 todo = todo[~hit]
         pts = grid.centers[cells] + (rng.random(cells.shape) - 0.5) * grid.cell
@@ -331,19 +341,24 @@ def _hkpv_chain(features, diag, lam, grid: CellGrid, reps: int, seed) -> list:
     return out
 
 
+def _conj(a):
+    """The complex conjugate of `a`, or `a` itself, uncopied, when it is real."""
+    return a.conj() if a.dtype.kind == "c" else a
+
+
 def _orthonormal(phi, coef, phi_norm2, conj_prev):
     """phi (rows, rank) orthonormalized against the directions whose conjugates
     are the columns of `conj_prev`; `coef` holds the projections <e_i, phi>."""
-    e = phi - np.einsum("hkj,hj->hk", conj_prev, coef.conj()).conj()
-    norm2 = np.einsum("hk,hk->h", e, e.conj()).real
+    e = phi - _conj(np.einsum("hkj,hj->hk", conj_prev, _conj(coef)))
+    norm2 = np.einsum("hk,hk->h", e, _conj(e)).real
     redo = norm2 < 1e-12 * phi_norm2
     if redo.any():
         # re-orthogonalize: one extra Gram-Schmidt pass
         again = conj_prev[redo]
         e2 = e[redo]
-        e2 -= np.einsum("hkj,hj->hk", again, np.einsum("hkj,hk->hj", again, e2).conj()).conj()
+        e2 -= _conj(np.einsum("hkj,hj->hk", again, _conj(np.einsum("hkj,hk->hj", again, e2))))
         e[redo] = e2
-        norm2[redo] = np.einsum("hk,hk->h", e2, e2.conj()).real
+        norm2[redo] = np.einsum("hk,hk->h", e2, _conj(e2)).real
     return e / np.sqrt(norm2)[:, None]
 
 
@@ -351,12 +366,12 @@ def _orthonormal(phi, coef, phi_norm2, conj_prev):
 _RANK_LOSS_MASS = 1e-12
 
 
-def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
+def _stuck_error(features_at, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
     """The error for replicates that used `_MAX_TRIES` proposals on one point:
     `RankLossError` when one's residual diagonal mass is below _RANK_LOSS_MASS
     times its rank, else the stalled `RuntimeError`."""
-    gram = features.conj().T @ features
-    captured = np.einsum("tkj,tkj->t", conj_dirs.conj(), gram @ conj_dirs).real
+    gram = sum(_conj(f).T @ f for _, f in _cell_slices(features_at, grid.n, keep.shape[1]))
+    captured = np.einsum("tkj,tkj->t", _conj(conj_dirs), gram @ conj_dirs).real
     mass = (keep @ gram.diagonal().real - captured) * grid.cell
     worst = np.argmin(mass / keep.sum(axis=1))
     j = conj_dirs.shape[2]
@@ -368,27 +383,47 @@ def _stuck_error(features, keep, conj_dirs, grid: CellGrid) -> RuntimeError:
     )
 
 
-def _projection_features(kernel: SpectralKernel, grid: CellGrid):
-    """Features (cells, columns) of the kernel's basis on the cells, from one
-    call of its feature map, their diagonal and their eigenvalues.  A basis
-    function with lambda <= 0 is never kept, so its column is dropped.
+# the diagonal and the Gram matrix are built in slices of cells whose features
+# take at most about this many bytes, complex ones included
+_SLICE_BYTES = 2 * 2**20
 
-    The trace on the window must match the number of columns to within 5%.
+
+def _cell_slices(features_at, n_cells: int, rank: int):
+    """(cells, features_at(cells)) for consecutive slices covering cells 0..n_cells-1."""
+    step = max(1, _SLICE_BYTES // (16 * max(rank, 1)))
+    for start in range(0, n_cells, step):
+        cells = np.arange(start, min(start + step, n_cells))
+        yield cells, features_at(cells)
+
+
+def _projection_features(kernel: SpectralKernel, grid: CellGrid):
+    """The kernel's kept basis as `features_at(cells)`, the (cells.shape + (rank,))
+    array of the basis functions at those cell centres, with their diagonal
+    on the grid and their eigenvalues.  A basis function with lambda <= 0 is
+    never kept, so it is dropped.  No (cells, rank) array is ever held: the
+    diagonal is summed slice by slice.
+
+    The trace on the window must match the number of kept functions to within 5%.
     """
     kept = kernel.eigenvalues > 0
-    features = kernel.feature_matrix(grid.centers)
-    if not kept.all():
-        features = features[kept]
-    features = np.ascontiguousarray(features.T)
-    rank = features.shape[1]
-    diag = np.einsum("ik,ik->i", features, features.conj()).real
+    rank = int(kept.sum())
+
+    def features_at(cells):
+        f = kernel.feature_matrix(grid.centers[cells].ravel())
+        if rank < kept.size:
+            f = f[kept]
+        return np.ascontiguousarray(f.T).reshape(cells.shape + (rank,))
+
+    diag = np.empty(grid.n)
+    for cells, f in _cell_slices(features_at, grid.n, rank):
+        diag[cells] = np.einsum("ik,ik->i", f, f.conj()).real
     trace = diag.sum() * grid.cell
     if abs(trace - rank) > 0.05 * rank:
         raise ValueError(
             f"kernel trace on the window is {trace:.3f}, expected {rank}; "
             "the basis is not orthonormal on this window or the grid is too coarse"
         )
-    return features, diag, kernel.eigenvalues[kept]
+    return features_at, diag, kernel.eigenvalues[kept]
 
 
 def sample_dpp_mixture_batch(
@@ -412,10 +447,21 @@ def sample_dpp_mixture_batch(
 # Fixed-count i.i.d. process (single-mode number state)
 
 
+# largest share of the |phi_plus|^2 mass one cell may hold.  Points are uniform
+# inside a cell, so a coarse cell widens the sampled law: at k = 5 the sampled std
+# over the envelope's came out 1.0013, 1.0039, 1.0126, 1.046 and 1.21 at shares
+# 0.05, 0.099, 0.19, 0.35 and 0.49 (stderr about 0.005)
+_FOCK_MAX_CELL_SHARE = 0.1
+
+
 def sample_fock_pp_batch(
     phi_plus, k: int, w: Window, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
 ) -> list:
-    """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2."""
+    """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2.
+
+    Refused when one cell holds more than `_FOCK_MAX_CELL_SHARE` of the mass:
+    the grid then does not resolve the envelope.
+    """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     grid = CellGrid(w, nodes_per_unit)
@@ -423,6 +469,14 @@ def sample_fock_pp_batch(
     total = masses.sum()
     if not total > 0:  # NaN fails this too
         raise ValueError(f"|phi_plus|^2 has zero total mass on the window (sum {total})")
+    top = int(masses.argmax())
+    share = masses[top] / total
+    if share > _FOCK_MAX_CELL_SHARE:
+        raise ValueError(
+            f"one cell holds {share:.3g} of the |phi_plus|^2 mass, above the limit of "
+            f"{_FOCK_MAX_CELL_SHARE}: the cell at {grid.centers[top]:g}, {grid.cell:g} wide, "
+            "does not resolve the envelope; raise nodes_per_unit"
+        )
     cdf = np.cumsum(masses)
     return [_draw_cells(cdf, total, k, grid, rng) for rng in _child_rngs(seed, reps)]
 

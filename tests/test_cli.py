@@ -307,6 +307,8 @@ class TestUserErrors:
         ["sample", "--family", "fock", "--width", "nan"],
         # a NaN envelope gives NaN cell masses, which have no total to draw from
         ["sample", "--family", "fock", "--center", "nan"],
+        # an envelope of std 1e-5 against cells of 2.4e-4: half the mass in each of two cells
+        ["sample", "--family", "fock", "--width", "1e-5"],
         # 1e11 cells: refused before the grid's arrays (745 GiB of centers) exist
         ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
@@ -334,6 +336,7 @@ class TestUserErrors:
             "nan-omega", "nan-scale", "negative-nodes-per-unit",
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
             "batch-is-a-directory", "fock-zero-width", "fock-nan-width", "fock-nan-center",
+            "fock-unresolved-envelope",
             "fock-too-many-cells", "permanental-too-many-cells", "permanental-far-window",
             "poisson-far-window", "hermite-two-mode-counts", "hermite-unknown-key",
             "theory-unknown-key"])

@@ -373,15 +373,18 @@ class TestProjectionDpp:
         # a lambda = 0 column is dropped; a spectrum near {0, 1} reaches the chain as it is
         seen = {}
 
-        def chain(features, diag, lam, grid, reps, seed):
-            seen.update(columns=features.shape[1], lam=lam)
+        def chain(features_at, diag, lam, grid, reps, seed):
+            cells = np.array([[0, 7, 7], [grid.n - 1, 3, 0]])
+            seen.update(at=features_at(cells), centers=grid.centers[cells], lam=lam)
             return []
 
         monkeypatch.setattr(samplers, "_hkpv_chain", chain)
         full = kernels.hermite_projection_kernel(4)
         near = kernels.SpectralKernel([1.0, 0.0, 1.0 - 1e-12, 1e-12], full.basis, -1, full.window)
         samplers.sample_dpp_mixture_batch(near, 1, 0, nodes_per_unit=256)
-        assert seen["columns"] == 3
+        assert seen["at"].shape == (2, 3, 3)
+        want = kernels.hermite_functions(4, seen["centers"].ravel())[[0, 2, 3]].T
+        assert np.array_equal(seen["at"], want.reshape(2, 3, 3))
         assert seen["lam"].tolist() == [1.0, 1.0 - 1e-12, 1e-12]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -427,6 +430,57 @@ class TestProjectionDpp:
         assert abs(m1 - m2) < 0.1
 
 
+class HermiteTimesPhase:
+    """The first n Hermite functions times e^{ix}: a complex orthonormal basis."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __call__(self, x):
+        return kernels.hermite_functions(self.n, x) * np.exp(1j * x)
+
+
+class TestFeaturesOnDemand:
+    """The chain evaluates the basis at each round's proposals; the grid keeps only
+    the diagonal, yet every draw is the one the full (cells, rank) matrix gives."""
+
+    @pytest.mark.parametrize("case", ["hermite-10", "mixture-with-zero", "complex-basis"])
+    def test_chain_equals_full_matrix_chain(self, case):
+        base = kernels.hermite_projection_kernel(10 if case == "hermite-10" else 6)
+        lams, basis, nodes_per_unit = {
+            "hermite-10": (np.ones(10), base.basis, 4096),
+            "mixture-with-zero": ([1, 0.3, 0, 0.9, 0.5, 1], base.basis, 1024),
+            "complex-basis": ([1, 0.6, 0, 1, 0.8, 1], HermiteTimesPhase(6), 1024),
+        }[case]
+        kern = kernels.SpectralKernel(np.asarray(lams, float), basis, -1, base.window)
+        grid = CellGrid(kern.window, nodes_per_unit)
+        features_at, diag, lam = samplers._projection_features(kern, grid)
+        full = np.ascontiguousarray(kern.feature_matrix(grid.centers)[kern.eigenvalues > 0].T)
+        assert full.dtype == (complex if case == "complex-basis" else float)
+        assert np.array_equal(diag, np.einsum("ik,ik->i", full, full.conj()).real)
+        for seed in range(3):
+            got = samplers._hkpv_chain(features_at, diag, lam, grid, 100, seed)
+            want = samplers._hkpv_chain(lambda cells: full[cells], diag, lam, grid, 100, seed)
+            assert [c.points.tobytes() for c in got] == [c.points.tobytes() for c in want]
+
+    def test_peak_memory_below_a_quarter_of_the_feature_matrix(self):
+        # Hermite-60 on its own window has 171,616 cells at 4096 nodes per unit,
+        # so one float64 (cells, rank) matrix takes 82 MB
+        kern = kernels.hermite_projection_kernel(60)
+        matrix = CellGrid(kern.window, 4096).n * 60 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            batch = samplers.sample_dpp_mixture_batch(kern, 2, 0, nodes_per_unit=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(c) for c in batch] == [60, 60]
+        assert peak < matrix / 4
+
+
 class TestProjectionSamplerErrors:
     """Both failure exits of the chain's rejection loop, per replicate of a block."""
 
@@ -439,7 +493,9 @@ class TestProjectionSamplerErrors:
     def chain(self, rows, lam, grid, reps, seed):
         features = np.stack(rows, axis=1)
         diag = (features**2).sum(axis=1)
-        return samplers._hkpv_chain(features, diag, np.asarray(lam, float), grid, reps, seed)
+        return samplers._hkpv_chain(
+            lambda cells: features[cells], diag, np.asarray(lam, float), grid, reps, seed
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_identical_rows_lose_rank(self, seed):
@@ -581,6 +637,21 @@ class TestFockPp:
     def test_zero_mass_error(self):
         with pytest.raises(ValueError, match="zero total mass"):
             samplers.sample_fock_pp_batch(lambda t: np.zeros_like(t), 3, Window(0, 1), 1, 0)
+
+    @pytest.mark.parametrize("std, share", [(1e-5, 0.5), (8e-4, 0.12), (1.2e-3, None), (3e-3, None)])
+    def test_unresolved_envelope_refused(self, std, share):
+        # |phi_plus|^2 is a normal density of this std centred on a cell edge, and
+        # the cells are 1/4096 wide: the cell next to 0.5 holds 0.5, 0.12, 0.081 and
+        # 0.032 of the mass; above 0.1 the grid does not resolve the envelope
+        env = lambda t: np.exp(-((t - 0.5) ** 2) / (4 * std**2))
+        if share is None:
+            batch = samplers.sample_fock_pp_batch(env, 5, Window(0, 1), 20, seed=13)
+            assert all(len(c) == 5 for c in batch)
+            return
+        with pytest.raises(ValueError, match="does not resolve the envelope") as info:
+            samplers.sample_fock_pp_batch(env, 5, Window(0, 1), 20, seed=13)
+        assert f"one cell holds {share:.2g}" in str(info.value)
+        assert "the cell at 0.49987" in str(info.value)
 
 
 class TestValidateKernel:
