@@ -2,13 +2,14 @@
 
 Ladder operators on a multi-mode occupation basis, Gaussian
 (grand-canonical) density matrices, coherent states, and correlators by
-explicit trace.  This module exists to be obviously correct: every
-multi-mode operator and state is a complex sparse (CSR) matrix in
-lexicographic occupation order, built entry by entry from the occupation
-table, and the combinatorial machinery elsewhere is verified against it.
-A ladder operator has at most one entry per row and column, so a product
-chain never holds more entries than the state it starts from.  The
-single-mode coherent-state helpers stay dense.
+explicit trace.  This module exists to be obviously correct: the
+combinatorial machinery elsewhere is verified against it.  A ladder
+operator, a number operator and every product of them has at most one
+entry per column, so a `FockOperator` is a weighted index map in
+lexicographic occupation order, op|n> = amplitude[n] |target[n]>, built
+from the occupation table.  Products compose by gathers in O(dimension),
+and tr(rho op) reads one entry of rho per column.  States stay complex
+sparse (CSR) matrices; the single-mode coherent-state helpers are dense.
 """
 
 import warnings
@@ -56,6 +57,55 @@ class ModeSpec:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
+    """An operator with at most one entry per column: op|n> = amplitude[n] |target[n]>.
+
+    Ladder and number operators and every product of them have this form.
+    A column whose amplitude is 0 is the zero column and its target carries
+    no meaning (`ladder` sets it to n).  `A @ B` composes in O(dimension) by
+    two gathers; `matrix` is the complex CSR view of the nonzero entries.
+    """
+
+    spec: ModeSpec
+    target: np.ndarray
+    amplitude: np.ndarray
+
+    def __post_init__(self):
+        d = self.spec.dimension
+        target = np.asarray(self.target)
+        amplitude = np.asarray(self.amplitude)
+        amplitude = amplitude.astype(np.result_type(amplitude, float), copy=False)
+        if target.shape != (d,) or amplitude.shape != (d,):
+            raise ValueError(
+                f"target and amplitude need shape ({d},), got {target.shape} and {amplitude.shape}"
+            )
+        if target.dtype.kind not in "iu" or target.min() < 0 or target.max() >= d:
+            raise ValueError(f"targets must be basis indices 0..{d - 1}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "amplitude", amplitude)
+
+    def __matmul__(self, other):
+        if other.spec != self.spec:
+            raise ValueError(f"cannot compose operators on {self.spec} and {other.spec}")
+        return FockOperator(
+            self.spec, self.target[other.target], self.amplitude[other.target] * other.amplitude
+        )
+
+    @property
+    def matrix(self) -> sparse.csr_array:
+        cols = np.flatnonzero(self.amplitude)
+        entries = (self.amplitude[cols].astype(complex), (self.target[cols], cols))
+        return sparse.csr_array(entries, shape=(self.spec.dimension,) * 2)
+
+
+def _identity(spec: ModeSpec) -> FockOperator:
+    return FockOperator(spec, np.arange(spec.dimension), np.ones(spec.dimension))
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """A state as a complex CSR matrix; `is_diagonal` and `diagonal` are set
+    on construction, and a diagonal state is validated on its diagonal."""
+
     spec: ModeSpec
     matrix: sparse.csr_array
 
@@ -64,26 +114,27 @@ class FockOperator:
         d = self.spec.dimension
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {d}")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix(FockOperator):
-    def __post_init__(self):
-        super().__post_init__()
-        m = self.matrix
-        if abs(m - m.conj().T).max() > 1e-12:
+        rows = np.repeat(np.arange(d), np.diff(m.indptr))
+        is_diagonal = not np.any(m.data[m.indices != rows])
+        diagonal = m.diagonal()
+        if is_diagonal:
+            asymmetry = np.abs(diagonal - diagonal.conj()).max()
+        else:
+            asymmetry = abs(m - m.conj().T).max()
+        if asymmetry > 1e-12:
             raise ValueError("density matrix must be Hermitian")
-        if abs(m.trace() - 1.0) > 1e-12:
-            raise ValueError(f"density matrix must have unit trace, got {m.trace()}")
-        diagonal = (m - sparse.diags_array(m.diagonal())).count_nonzero() == 0
-        object.__setattr__(self, "is_diagonal", diagonal)
-        if diagonal:
-            low = np.real(m.diagonal()).min()
+        trace = diagonal.sum()
+        if abs(trace - 1.0) > 1e-12:
+            raise ValueError(f"density matrix must have unit trace, got {trace}")
+        if is_diagonal:
+            low = np.real(diagonal).min()
         else:
             low = np.linalg.eigvalsh(m.toarray()).min()
         if low < -1e-12:
             raise ValueError(f"density matrix has negative eigenvalue {low}")
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "is_diagonal", is_diagonal)
+        object.__setattr__(self, "diagonal", diagonal)
 
 
 def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
@@ -101,22 +152,43 @@ def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
     n = occ[:, mode]
     occupied = np.flatnonzero(n)  # basis states a_i does not annihilate
     lowered = occupied - (spec.cutoff + 1) ** (spec.n_modes - mode - 1)
-    values = np.sqrt(n[occupied]).astype(complex)
+    values = np.sqrt(n[occupied])
     if spec.eta == -1:
         values[occ[occupied, :mode].sum(axis=1) % 2 == 1] *= -1
-    # a_i sits at (lowered, occupied) and a_i^dag at (occupied, lowered); either
-    # way the rows ascend with at most one entry each, so the row pointers are
-    # a searchsorted
-    rows, cols = (lowered, occupied) if kind == "annihilate" else (occupied, lowered)
-    indptr = np.searchsorted(rows, np.arange(spec.dimension + 1))
-    matrix = sparse.csr_array((values, cols, indptr), shape=(spec.dimension,) * 2)
-    return FockOperator(spec, matrix)
+    # a_i takes column `occupied` to row `lowered`, a_i^dag the reverse
+    cols, rows = (occupied, lowered) if kind == "annihilate" else (lowered, occupied)
+    target = np.arange(spec.dimension)
+    amplitude = np.zeros(spec.dimension)
+    target[cols] = rows
+    amplitude[cols] = values
+    return FockOperator(spec, target, amplitude)
 
 
 def number_operator(spec: ModeSpec) -> FockOperator:
     """N = sum_i a_i^dag a_i, diagonal in the occupation basis."""
     total = spec.occupations().sum(axis=1)
-    return FockOperator(spec, sparse.diags_array(total, dtype=complex))
+    return FockOperator(spec, np.arange(spec.dimension), total.astype(float))
+
+
+def _merge_columns(terms):
+    """Sum the entries of each column that share a target.
+
+    `terms` lists (target, value) pairs of one-entry-per-column operators.
+    In order, each entry is added to the first earlier entry of its column
+    with the same target and then zeroed, so the (len(terms), dimension)
+    result holds every target of a column at most once among its nonzero
+    values, summed in the order the terms are listed.
+    """
+    targets = np.array([t for t, _ in terms])
+    values = np.array([v for _, v in terms])
+    for k in range(1, len(terms)):
+        free = np.ones(targets.shape[1], dtype=bool)
+        for earlier in range(k):
+            hit = free & (targets[earlier] == targets[k])
+            values[earlier, hit] += values[k, hit]
+            free &= ~hit
+        values[k, ~free] = 0.0
+    return targets, values
 
 
 def check_commutation(spec: ModeSpec) -> dict:
@@ -124,32 +196,38 @@ def check_commutation(spec: ModeSpec) -> dict:
 
     One loop over a_i a_j^dag - eta a_j^dag a_i - delta_ij I and
     a_i a_j - eta a_j a_i for every mode pair: eta = -1 gives the
-    anticommutators, +1 the commutators.  Fermions are exact (integer
-    matrices).  Bosons obey [a_i, a_j^dag] = delta_ij I only on the bulk,
-    the states with every occupation below the cutoff; the deviation on
-    the top-cutoff layer is truncation-induced and reported separately.
+    anticommutators, +1 the commutators.  Each product has one entry per
+    column, so a column of either combination holds at most three entries,
+    merged by target.  Fermions are exact (integer matrices).  Bosons obey
+    [a_i, a_j^dag] = delta_ij I only on the bulk, the states with every
+    occupation below the cutoff; the deviation on the top-cutoff layer is
+    truncation-induced and reported separately.
     """
     eta = spec.eta
-    ann = [ladder(spec, i, "annihilate").matrix for i in range(spec.n_modes)]
-    cre = [ladder(spec, i, "create").matrix for i in range(spec.n_modes)]
-    eye = sparse.diags_array(np.ones(spec.dimension), format="csr")
+    ann = [ladder(spec, i, "annihilate") for i in range(spec.n_modes)]
+    cre = [ladder(spec, i, "create") for i in range(spec.n_modes)]
+    identity = _identity(spec)
     bulk = np.all(spec.occupations() < spec.cutoff, axis=1) | (eta == -1)
     max_pair = 0.0
     max_same = 0.0  # {a,a} or [a,a]
     max_top = 0.0
-    rows = np.arange(spec.dimension)
     for i, a_i in enumerate(ann):
-        eta_a_i = eta * a_i
         for j, (a_j, adj) in enumerate(zip(ann, cre)):
-            pair = a_i @ adj - adj @ eta_a_i - (i == j) * eye
-            dev = abs(pair.data)
-            # bulk/top membership of each stored entry's row and column
-            row_in = bulk[np.repeat(rows, np.diff(pair.indptr))]
-            col_in = bulk[pair.indices]
+            forward, backward = a_i @ adj, adj @ a_i
+            terms = [(forward.target, forward.amplitude),
+                     (backward.target, -eta * backward.amplitude)]
+            if i == j:
+                terms.append((identity.target, -identity.amplitude))
+            targets, values = _merge_columns(terms)
+            dev = np.abs(values)
+            # bulk/top membership of each entry's row (its target) and column
+            row_in, col_in = bulk[targets], bulk
             max_pair = max(max_pair, dev[row_in & col_in].max(initial=0.0))
             max_top = max(max_top, dev[~(row_in | col_in)].max(initial=0.0))
-            same = a_i @ a_j - a_j @ eta_a_i
-            max_same = max(max_same, abs(same.data).max(initial=0.0))
+            forward, backward = a_i @ a_j, a_j @ a_i
+            _, values = _merge_columns([(forward.target, forward.amplitude),
+                                        (backward.target, -eta * backward.amplitude)])
+            max_same = max(max_same, np.abs(values).max(initial=0.0))
     report = {"eta": eta, "max_pair_dev": max_pair, "max_same_kind_dev": max_same}
     if eta == 1:
         report["max_top_layer_dev"] = max_top
@@ -179,7 +257,9 @@ def gaussian_density_matrix(spec: ModeSpec, nu, beta: float, zeta: float) -> Den
     z = weights.sum()
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"non-finite partition function (Z = {z})")
-    return DensityMatrix(spec, sparse.diags_array(weights / z))
+    d = spec.dimension
+    diagonal = sparse.csr_array((weights / z, np.arange(d), np.arange(d + 1)), shape=(d, d))
+    return DensityMatrix(spec, diagonal)
 
 
 def log_partition(spec: ModeSpec, nu, beta: float, zeta: float) -> float:
@@ -190,16 +270,26 @@ def log_partition(spec: ModeSpec, nu, beta: float, zeta: float) -> float:
 
 
 def expectation(rho: DensityMatrix, ops) -> complex:
-    """<prod ops> = tr(rho op_1 ... op_k) by a chain of sparse products."""
-    product = rho.matrix
+    """<prod ops> = tr(rho op_1 ... op_k), the product folded into one operator."""
+    product = _identity(rho.spec)
     for op in ops:
         if op.spec != rho.spec:
             raise ValueError(
                 f"operator space {op.spec} (dimension {op.spec.dimension}) does not "
                 f"match the state space {rho.spec} (dimension {rho.spec.dimension})"
             )
-        product = product @ op.matrix
-    return complex(product.trace())
+        product = product @ op
+    return _trace(rho, product)
+
+
+def _trace(rho: DensityMatrix, op: FockOperator) -> complex:
+    """tr(rho op) = sum_n rho[n, target[n]] amplitude[n]."""
+    n = np.arange(rho.spec.dimension)
+    if rho.is_diagonal:
+        entries = np.where(op.target == n, rho.diagonal, 0.0)
+    else:
+        entries = rho.matrix[n, op.target]
+    return complex(entries @ op.amplitude)
 
 
 def mean_occupation(rho: DensityMatrix, mode: int) -> float:
@@ -291,7 +381,7 @@ def wick_verify(spec: ModeSpec, nu, beta: float, zeta: float, op_sequence) -> Wi
 
     `op_sequence` lists (kind, mode) pairs in operator order; the pair
     table fed to the expansion holds the traces tr(rho op_i op_j) under
-    the same Gaussian state, with rho op_i formed once per i.
+    the same Gaussian state.
     """
     ops = [ladder(spec, mode, kind) for kind, mode in op_sequence]
     rho = gaussian_density_matrix(spec, nu, beta, zeta)
@@ -299,9 +389,8 @@ def wick_verify(spec: ModeSpec, nu, beta: float, zeta: float, op_sequence) -> Wi
     n = len(ops)
     table = np.zeros((n, n), dtype=complex)
     for i in range(n - 1):
-        left = rho.matrix @ ops[i].matrix
         for j in range(i + 1, n):
-            table[i, j] = (left @ ops[j].matrix).trace()
+            table[i, j] = _trace(rho, ops[i] @ ops[j])
     predicted = wick_expand(table, spec.eta)
     return WickCheck(
         tuple((k, m) for k, m in op_sequence),

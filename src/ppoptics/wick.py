@@ -5,12 +5,14 @@ contractions, and the Wick expansion of an even product of ladder
 operators into a signed sum over contractions.
 
 The permanent (Glynn's formula) and the alpha-determinant are exact
-enumerations vectorised in numpy blocks: sign patterns of up to 2^12
-columns at a time for the permanent, one block of (n-1)! permutations
-per placement of the last index for the alpha-determinant.  Their caps,
-PERMANENT_MAX_DIM = 24 and ALPHA_DET_MAX_DIM = 10, keep a call near one
-second or below, as does CONTRACTION_MAX_ORDER = 14 for the (n-1)!!
-contraction objects: 135,135 of them, 45 MB; order 16 costs 15x that.
+enumerations vectorised in numpy blocks: up to 2^12 sign patterns at a
+time for the permanent, whose product over rows is taken one row at a
+time and in real arithmetic for a real matrix; one block of (n-1)!
+permutations per placement of the last index for the alpha-determinant.
+Their caps, PERMANENT_MAX_DIM = 24 and ALPHA_DET_MAX_DIM = 10, keep a
+call near one second or below, as does CONTRACTION_MAX_ORDER = 14 for
+the (n-1)!! contraction objects: 135,135 of them, 45 MB; order 16 costs
+15x that.
 """
 
 from dataclasses import dataclass
@@ -37,10 +39,21 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(_as_square(m)))
 
 
-def _sign_table(bits: int) -> np.ndarray:
-    """Every +-1 pattern of `bits` signs, one per row, in binary order."""
-    k = np.arange(2**bits)[:, None] >> np.arange(bits)
-    return 1.0 - 2.0 * (k & 1)
+def _signed_sums(columns: np.ndarray):
+    """Row sums sum_j d_j columns[:, j] over every sign vector d, and prod_j d_j.
+
+    Pattern k takes d_j = -1 where bit j of k is set.  The table doubles
+    once per column: O(rows 2^columns) additions and no matmul.
+    """
+    rows, bits = columns.shape
+    sums = np.zeros((rows, 2**bits), dtype=columns.dtype)
+    signs = np.ones(2**bits)
+    for j in range(bits):
+        half = 2**j
+        sums[:, half : 2 * half] = sums[:, :half] - columns[:, j : j + 1]
+        sums[:, :half] += columns[:, j : j + 1]
+        signs[half : 2 * half] = -signs[:half]
+    return sums, signs
 
 
 def permanent(m) -> complex:
@@ -48,15 +61,17 @@ def permanent(m) -> complex:
 
     perm A = 2^-(n-1) sum over sign vectors d with d_0 = +1 of
     (prod_k d_k) prod_i sum_j d_j a_ij.  The free signs split into up to
-    _GLYNN_BLOCK_BITS "low" columns and the remaining "high" ones; one
-    matmul per part gives the row sums of every low and every high
-    pattern, and a Python loop over the high patterns adds each block of
-    low patterns at once.  O(n 2^n) work; unlike Ryser's formula the
-    terms carry no binomial cancellation: on unit upper-triangular
-    16 x 16 matrices (permanent 1) the error stays below 4e-13, where
-    Ryser's reaches 1e-9.  Dimensions above
-    PERMANENT_MAX_DIM are rejected: about 1 s at n = 24 on one core,
-    and the cost grows 2x per added row.
+    _GLYNN_BLOCK_BITS "low" columns and the remaining "high" ones; a
+    table per part holds the row sums of every low and every high
+    pattern, and a Python loop over the high patterns takes the product
+    over rows of each block of low patterns, one in-place multiply per
+    row.  A matrix without imaginary part runs in real arithmetic.
+    O(n 2^n) work; unlike Ryser's formula the terms carry no binomial
+    cancellation: on unit upper-triangular 16 x 16 matrices (permanent 1)
+    the error stays below 2e-13, where Ryser's reaches 1e-9.  Dimensions
+    above PERMANENT_MAX_DIM are rejected: at n = 24 a call takes about
+    0.2 s for a real and 0.35 s for a complex matrix on one core, and the
+    cost grows 2x per added row.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -64,16 +79,21 @@ def permanent(m) -> complex:
         raise ValueError(f"permanent limited to dim <= {PERMANENT_MAX_DIM}, got {n}")
     if n == 0:
         return 1 + 0j
+    if not a.imag.any():
+        a = a.real
     low = min(n - 1, _GLYNN_BLOCK_BITS)
-    low_signs = np.hstack([np.ones((2**low, 1)), _sign_table(low)])
-    high_signs = _sign_table(n - 1 - low)
-    low_sums = low_signs @ a[:, : low + 1].T
-    high_sums = high_signs @ a[:, low + 1:].T
-    low_sign = low_signs.prod(axis=1)
-    high_sign = high_signs.prod(axis=1)
-    total = 0j
-    for s, h in zip(high_sign, high_sums):
-        total += s * (low_sign @ np.prod(low_sums + h, axis=1))
+    low_sums, low_sign = _signed_sums(a[:, 1 : low + 1])
+    low_sums += a[:, :1]  # d_0 = +1
+    high_sums, high_sign = _signed_sums(a[:, low + 1 :])
+    prod = np.empty(2**low, dtype=a.dtype)
+    factor = np.empty_like(prod)
+    total = 0.0
+    for s, h in zip(high_sign, high_sums.T):
+        np.add(low_sums[0], h[0], out=prod)
+        for i in range(1, n):
+            np.add(low_sums[i], h[i], out=factor)
+            prod *= factor
+        total += s * (low_sign @ prod)
     return complex(total / 2 ** (n - 1))
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import poisson as poisson_dist
 
 from ppoptics import fock
-from ppoptics.fock import DensityMatrix, ModeSpec
+from ppoptics.fock import DensityMatrix, FockOperator, ModeSpec
 
 
 def basis_index(spec, occ):
@@ -90,6 +90,17 @@ class TestLadderFermions:
         with pytest.raises(ValueError):
             fock.ladder(ModeSpec(2, 1, -1), 2, "create")
 
+    def test_operator_validation(self):
+        spec = ModeSpec(2, 1, -1)
+        with pytest.raises(ValueError, match="shape"):
+            FockOperator(spec, np.arange(3), np.ones(3))
+        with pytest.raises(ValueError, match="basis indices"):
+            FockOperator(spec, np.array([0, 1, 2, 4]), np.ones(4))
+        with pytest.raises(ValueError, match="basis indices"):
+            FockOperator(spec, np.array([0, 1, 2, -1]), np.ones(4))
+        with pytest.raises(ValueError, match="compose"):
+            fock.ladder(spec, 0, "create") @ fock.ladder(ModeSpec(2, 1, 1), 0, "create")
+
 
 class TestCommutation:
     def test_fermions_exact(self):
@@ -164,6 +175,11 @@ class TestGaussianDensity:
             DensityMatrix(spec, np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(spec, np.diag([1.5, -0.5]))
+        # a diagonal state is checked on its diagonal
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(spec, np.diag([0.5 + 1e-9j, 0.5 - 1e-9j]))
+        assert DensityMatrix(spec, np.diag([0.25, 0.75])).is_diagonal
+        assert not DensityMatrix(spec, np.array([[0.5, 0.1], [0.1, 0.5]])).is_diagonal
 
 
 class TestExpectation:

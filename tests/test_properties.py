@@ -1,8 +1,10 @@
 """Property tests over drawn inputs: the occupation-law round trip, the
-Wick expansion against the exact Fock-space trace, the sparse Fock-space
-oracle against its dense definition, and the batch-wide histograms against
-per-replicate `np.histogram`."""
+Wick expansion against the exact Fock-space trace, the Fock-space oracle
+(operator products, traces and commutation reports) against its dense
+definition, and the batch-wide histograms against per-replicate
+`np.histogram`."""
 
+import operator
 from functools import reduce
 
 import numpy as np
@@ -93,6 +95,42 @@ def test_sparse_oracle_matches_dense_definition(case, seed):
         # same trace taken over absolute values
         scale = np.trace(reduce(np.matmul, [abs(m) for m in dense_ops], abs(rho_dense)))
         assert abs(fock.expectation(rho, ops) - want) <= 1e-12 * scale
+
+
+def dense_commutation(spec):
+    """The report of `fock.check_commutation` from dense Kronecker ladders."""
+    eta, eye = spec.eta, np.eye(spec.dimension)
+    bulk = np.all(spec.occupations() < spec.cutoff, axis=1) | (eta == -1)
+    ann = [kronecker_ladder(spec, i, "annihilate") for i in range(spec.n_modes)]
+    pair = same = top = 0.0
+    for i, a_i in enumerate(ann):
+        for j, a_j in enumerate(ann):
+            comm = a_i @ a_j.T - eta * (a_j.T @ a_i) - (i == j) * eye
+            pair = max(pair, np.abs(comm[np.ix_(bulk, bulk)]).max(initial=0.0))
+            top = max(top, np.abs(comm[np.ix_(~bulk, ~bulk)]).max(initial=0.0))
+            same = max(same, np.abs(a_i @ a_j - eta * (a_j @ a_i)).max())
+    report = {"eta": eta, "max_pair_dev": pair, "max_same_kind_dev": same}
+    if eta == 1:
+        report["max_top_layer_dev"] = top
+    return report
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_fock_cases())
+def test_operator_algebra_matches_dense_definition(case):
+    spec, seq = case
+    ops = [fock.ladder(spec, mode, kind) for kind, mode in seq]
+    dense_ops = [kronecker_ladder(spec, mode, kind) for kind, mode in seq]
+    # every product of one-entry-per-column operators keeps that form exactly
+    for k in range(2, len(ops) + 1):
+        product = reduce(operator.matmul, ops[:k])
+        assert np.array_equal(product.matrix.toarray(), reduce(np.matmul, dense_ops[:k]))
+    # the per-column merge of check_commutation against the full matrices
+    got, want = fock.check_commutation(spec), dense_commutation(spec)
+    assert got.keys() == want.keys()
+    tol = 0.0 if spec.eta == -1 else 1e-15
+    for key in want:
+        assert abs(got[key] - want[key]) <= tol, key
 
 
 def reference_pcf(batch, edges):

@@ -148,6 +148,33 @@ class TestPermanent:
         got = wick.permanent(np.ones((n, n)) - np.eye(n))
         assert abs(got - derangements(n)) <= 1e-12 * max(1, derangements(n))
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-valued complex128"])
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_alpha_determinant_across_seeds(self, n, kind):
+        # a real matrix runs in real arithmetic, whatever its dtype; the
+        # enumeration of alpha-determinant is the reference for both paths
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            m = random_complex(rng, n) if kind == "complex" else rng.standard_normal((n, n))
+            if kind == "real-valued complex128":
+                m = m.astype(complex)
+            want = wick.alpha_determinant(m, 1.0)
+            # rounding in either sum is bounded relative to the permanent of |m|
+            scale = wick.permanent(np.abs(m)).real
+            assert abs(wick.permanent(m) - want) <= 1e-13 * max(1.0, scale), seed
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_phase_factors_out(self, n):
+        # perm(e^{i theta} A) = e^{i n theta} perm(A): the complex path
+        # against the real one on the same matrix
+        for seed in range(3):
+            rng = np.random.default_rng([n, seed])
+            a = rng.standard_normal((n, n))
+            theta = rng.uniform(0.1, 2 * np.pi)
+            want = np.exp(1j * n * theta) * wick.permanent(a)
+            scale = wick.permanent(np.abs(a)).real
+            assert abs(wick.permanent(np.exp(1j * theta) * a) - want) <= 1e-13 * scale, seed
+
     @pytest.mark.parametrize("n", [1, 5, 12, 17])
     def test_diagonal_is_product(self, n):
         d = np.random.default_rng(n).uniform(0.5, 1.5, n) * np.exp(1j * np.arange(n))
