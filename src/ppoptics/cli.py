@@ -420,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--rate", type=float, help="poisson: constant rate")
     p_sample.add_argument("--sigma", type=float, default=0.1, help="permanental envelope")
-    p_sample.add_argument("--omega", type=float, default=100.0, help="permanental carrier")
+    p_sample.add_argument("--omega", type=float, default=100.0,
+                          help="permanental carrier, recorded in the header; |E|^2, and so "
+                               "the samples, do not depend on it")
     p_sample.add_argument("--scale", type=float, default=1.0, help="cox scale constant")
     p_sample.add_argument("--kernel", default="hermite:n_modes=10",
                           help="kernel spec, e.g. hermite:n_modes=10")

@@ -1,8 +1,8 @@
 """The kernel zoo.
 
-Closed-form stationary covariances, spectral (eigenfunction) kernels,
-first-order coherence kernels for free fermions, and the theoretical
-pair-correlation formulas for permanental and determinantal processes.
+The analytic Lorentz covariance of the permanental field, spectral
+(eigenfunction) kernels, and the theoretical pair-correlation formula for
+permanental and determinantal processes.
 
 A spectral kernel carries its eigenfunctions as one vectorised feature
 map, `basis(x) -> (rank, len(x))`; for Hermite kernels that is a single
@@ -81,16 +81,6 @@ def _check_lorentz(sigma: float, omega: float):
             f"rate 1/sigma={1/sigma:g}; the quasi-monochromatic picture degrades",
             stacklevel=3,
         )
-
-
-def lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
-    """Exponential envelope times a cosine carrier: exp(-|tau|/sigma) cos(omega tau)."""
-    _check_lorentz(sigma, omega)
-
-    def c0(tau):
-        return np.exp(-np.abs(tau) / sigma) * np.cos(omega * tau)
-
-    return StationaryCovariance(c0, {"name": "lorentz", "sigma": sigma, "omega": omega})
 
 
 def analytic_lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
@@ -224,64 +214,6 @@ def hermite_projection_kernel(n_modes: int) -> SpectralKernel:
         eta=-1,
         window=Window(-half_width, half_width),
     )
-
-
-def fermi_sea_kernel_3d(k_f: float):
-    """First-order coherence of the 3-D Fermi sea as a function of distance.
-
-    Returns d -> (1/pi^2) (sin(k_f d) - k_f d cos(k_f d)) / d^3, with the
-    coincidence value hard-coded to the analytic limit k_f^3 / (3 pi^2);
-    a series is used near d=0 where the closed form loses digits.
-    """
-    if k_f <= 0:
-        raise ValueError(f"k_f must be positive, got {k_f}")
-
-    def g1(d):
-        d = np.asarray(d, dtype=float)
-        if np.any(d < 0):
-            raise ValueError("distance must be nonnegative")
-        x = k_f * d
-        small = x < 1e-3
-        xs = np.where(small, 1.0, x)  # placeholder to keep the division finite
-        bracket = np.where(
-            small,
-            1.0 / 3.0 - x**2 / 30.0,
-            (np.sin(xs) - xs * np.cos(xs)) / xs**3,
-        )
-        return k_f**3 / np.pi**2 * bracket
-
-    return g1
-
-
-def chiral_thermal_kernel(
-    beta: float, zeta: float, epsilon: float = None, hbar: float = 1.0, v_fermi: float = 1.0
-):
-    """Thermal first-order coherence of a chiral wire, (t, t') -> complex.
-
-    K(t,t') = i/(2 pi v_F tau_th) * exp(-i zeta (t-t')/hbar)
-              / sinh((t-t'+i eps)/tau_th), with thermal coherence time
-    tau_th = hbar beta / pi.  eps > 0 models the finite bandwidth and
-    regularizes the coincidence singularity (default 1e-3 tau_th);
-    natural units by default.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    tau_th = hbar * beta / np.pi
-    if epsilon is None:
-        epsilon = 1e-3 * tau_th
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive: the kernel is singular at coincidence")
-
-    def kern(t, tp):
-        dt = np.asarray(t, dtype=float) - np.asarray(tp, dtype=float)
-        return (
-            1j
-            / (2.0 * np.pi * v_fermi * tau_th)
-            * np.exp(-1j * zeta / hbar * dt)
-            / np.sinh((dt + 1j * epsilon) / tau_th)
-        )
-
-    return kern
 
 
 def theoretical_pcf(kernel_value_xy: complex, kxx: float, kyy: float, eta: int):

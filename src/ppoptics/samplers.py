@@ -10,9 +10,9 @@ a given intensity path, from a seed or a `Generator`.
 
 A permanental replicate is a draw of |E+|^2, the squared modulus of a
 complex Gaussian field, followed by `sample_cox` on it, both from the
-replicate's own child generator.  For the analytic Lorentz covariance the
-draw is the exact AR(1) recursion of the field's envelope; any other
-covariance is drawn by circulant embedding.
+replicate's own child generator.  The one covariance drawn is the analytic
+Lorentz one, by the exact AR(1) recursion of the field's envelope, on a
+grid whose cell resolves its sigma.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell); grid density
@@ -112,10 +112,6 @@ class PointConfiguration:
     def __len__(self) -> int:
         return self.points.size
 
-    def translate(self, offset: float) -> "PointConfiguration":
-        return PointConfiguration(
-            self.points + offset, Window(self.window.a + offset, self.window.b + offset)
-        )
 
 
 def batch_window(batch) -> Window:
@@ -233,11 +229,14 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
 def sample_permanental_batch(
     cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
 ) -> list:
-    """Permanental samples with kernel scale * cov.
+    """Permanental samples with kernel scale * cov, for the analytic Lorentz
+    covariance cov.
 
     Each replicate draws |E+|^2 of a circularly-symmetric complex Gaussian
-    field at the window's cell centers, then runs `sample_cox` at rate
-    scale * |E+|^2, both on its own child generator.
+    field at the window's cell centers, by the AR(1) recursion of its
+    envelope, then runs `sample_cox` at rate scale * |E+|^2, both on its own
+    child generator.  Any other covariance, and a grid whose cell exceeds
+    sigma / 4, raise ValueError.
     """
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")

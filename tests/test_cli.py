@@ -135,8 +135,8 @@ class TestSample:
         assert (tmp_path / "rel.csv").exists()
 
     def test_permanental_short_window(self, tmp_path):
-        # window [0, 0.001] = sigma / 100: past the circulant's EMBEDDING_MAX_M, but
-        # the AR(1) draw has no such limit; the mean count is scale * C(0) * L
+        # window [0, 0.001] = sigma / 100, at the 1024-cell floor: the AR(1) draw
+        # needs no room outside the window; the mean count is scale * C(0) * L
         out = tmp_path / "out.csv"
         scale, length, reps = 10_000.0, 0.001, 400
         assert run(["sample", "--family", "permanental", "--window", "0", str(length),
@@ -146,6 +146,19 @@ class TestSample:
         counts = np.array([len(c) for c in batch], dtype=float)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - scale * 2.0 * length) < 3 * stderr
+
+
+    def test_carrier_does_not_change_the_samples(self, tmp_path):
+        # |E|^2 never sees the carrier, so a grid far too coarse for it samples too
+        outs = []
+        for omega in ("100", "100000"):
+            out = tmp_path / f"omega{omega}.csv"
+            assert run(["sample", "--family", "permanental", "--omega", omega, "--scale", "25",
+                        "--reps", "20", "--seed", "3", "--out", str(out)]) == 0
+            header, rows = out.read_bytes().split(b"\n", 1)
+            assert json.loads(header.split(b" ", 2)[2])["omega"] == float(omega)
+            outs.append(rows)
+        assert outs[0] == outs[1] and outs[0].count(b"\r\n") > 20
 
 
 class TestPcf:
@@ -253,7 +266,8 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--family", "poisson", "--rate", "5", "--window", "1", "0"],
-        ["sample", "--family", "permanental", "--omega", "100000"],
+        # cells of 2.4e-4 against sigma / 4 = 8.2e-5
+        ["sample", "--family", "permanental", "--sigma", "0.000326", "--omega", "3068"],
         ["sample", "--family", "projection-dpp", "--kernel", "lorentz:sigma=1,omega=3"],
         ["sample", "--family", "dpp-mixture", "--kernel", "lorentz:sigma=1,omega=3",
          "--lambdas", "0.5"],
@@ -323,7 +337,7 @@ class TestUserErrors:
         ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10,nmodes=3",
          "--window-from-kernel"],
         ["pcf", "--batch", "{batch}", "--theory", "permanental:sigma=0.1,sgima=5"],
-    ], ids=["reversed-window", "unresolved-carrier", "projection-non-spectral",
+    ], ids=["reversed-window", "permanental-unresolved-sigma", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
             "theory-without-sigma", "all-empty-batch", "zero-replicates",

@@ -71,7 +71,7 @@ class TestPcf:
 
     def test_translation_invariance(self):
         batch = poisson_batch(30.0, 500, seed=7)
-        shifted = [c.translate(5.0) for c in batch]
+        shifted = [PointConfiguration(c.points + 5.0, Window(5.0, 6.0)) for c in batch]
         a = estimators.estimate_pcf(batch)
         b = estimators.estimate_pcf(shifted)
         assert np.allclose(a.g_hat, b.g_hat)

@@ -8,37 +8,29 @@ from ppoptics import kernels
 
 
 class TestLorentz:
-    def test_zero_lag(self):
-        cov = kernels.lorentz_kernel(0.1, 100.0)
-        assert cov(0.0) == pytest.approx(1.0)
+    """The parameters of the analytic Lorentz covariance, and one point of its closed form."""
 
     def test_pure_envelope(self):
-        with pytest.warns(UserWarning):
-            cov = kernels.lorentz_kernel(1.0, 0.0)
-        assert cov(1.0) == pytest.approx(np.exp(-1.0))
+        with pytest.warns(UserWarning, match="not well separated"):
+            cov = kernels.analytic_lorentz_kernel(1.0, 0.0)
+        assert cov(1.0) == pytest.approx(2.0 * np.exp(-1.0))
 
     def test_formula_point(self):
-        cov = kernels.lorentz_kernel(0.1, 100.0)
-        assert cov(0.05) == pytest.approx(np.exp(-0.5) * np.cos(5.0))
+        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+        assert cov(0.05) == pytest.approx(2.0 * np.exp(-0.5) * np.exp(5.0j))
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            kernels.lorentz_kernel(0.0, 10.0)
+            kernels.analytic_lorentz_kernel(0.0, 10.0)
         with pytest.raises(ValueError):
-            kernels.lorentz_kernel(-1.0, 10.0)
+            kernels.analytic_lorentz_kernel(-1.0, 10.0)
 
     @pytest.mark.parametrize("sigma, omega", [
         (np.nan, 10.0), (np.inf, 10.0), (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf),
     ])
-    @pytest.mark.parametrize("make", [kernels.lorentz_kernel, kernels.analytic_lorentz_kernel])
-    def test_rejects_non_finite_parameters(self, make, sigma, omega):
+    def test_rejects_non_finite_parameters(self, sigma, omega):
         with pytest.raises(ValueError, match="finite"):
-            make(sigma, omega)
-
-    def test_pd_necessary_condition(self):
-        cov = kernels.lorentz_kernel(0.2, 50.0)
-        tau = np.linspace(-3, 3, 301)
-        assert np.all(cov.at_zero >= np.abs(cov(tau)) - 1e-12)
+            kernels.analytic_lorentz_kernel(sigma, omega)
 
 
 class TestAnalyticLorentz:
@@ -158,63 +150,6 @@ class TestHermiteBasis:
             kernels.SpectralKernel(np.ones(3), kernels.HermiteBasis(4), -1, kernels.Window(-5, 5))
 
 
-class TestFermiSea:
-    def test_coincidence_limit(self):
-        k_f = 2.3
-        g1 = kernels.fermi_sea_kernel_3d(k_f)
-        want = k_f**3 / (3 * np.pi**2)
-        assert g1(0.0) == pytest.approx(want)
-        # and the closed form approaches the same value continuously
-        assert g1(1e-6) == pytest.approx(want, rel=1e-9)
-
-    def test_zero_at_tan_root(self):
-        # first positive root of tan(x) = x
-        root = 4.493409457909064
-        k_f = 1.7
-        g1 = kernels.fermi_sea_kernel_3d(k_f)
-        scale = k_f**3 / (3 * np.pi**2)
-        assert abs(g1(root / k_f)) < 1e-12 * scale
-
-    def test_large_distance_decay(self):
-        k_f = 1.0
-        g1 = kernels.fermi_sea_kernel_3d(k_f)
-        d = np.linspace(30, 300, 200)
-        # dominant cosine term decays like 1/d^2
-        envelope = np.abs(np.asarray(g1(d))) * d**2
-        assert envelope.max() <= k_f / np.pi**2 * (1 + 0.05)
-
-    def test_rejects_negative_distance(self):
-        g1 = kernels.fermi_sea_kernel_3d(1.0)
-        with pytest.raises(ValueError):
-            g1(-0.5)
-
-
-class TestChiralThermal:
-    def test_zero_temperature_limit(self):
-        zeta, eps = 0.7, 1e-3
-        cold = kernels.chiral_thermal_kernel(1e7, zeta, eps)
-        dt = 0.35
-        want = 1j / (2 * np.pi) * np.exp(-1j * zeta * dt) / (dt + 1j * eps)
-        assert cold(dt, 0.0) == pytest.approx(want, rel=1e-6)
-
-    def test_hermitian_symmetry(self):
-        kern = kernels.chiral_thermal_kernel(2.0, 0.3, 1e-3)
-        for t, tp in [(0.0, 0.4), (1.2, -0.3), (0.05, 0.02)]:
-            assert kern(tp, t) == pytest.approx(np.conj(kern(t, tp)))
-
-    def test_thermal_decay_rate(self):
-        beta = 0.5
-        tau_th = beta / np.pi
-        kern = kernels.chiral_thermal_kernel(beta, 0.0, 1e-6)
-        d1, d2 = 8 * tau_th, 12 * tau_th
-        ratio = abs(kern(d2, 0.0)) / abs(kern(d1, 0.0))
-        assert ratio == pytest.approx(np.exp(-(d2 - d1) / tau_th), rel=1e-3)
-
-    def test_rejects_zero_epsilon(self):
-        with pytest.raises(ValueError):
-            kernels.chiral_thermal_kernel(1.0, 0.0, 0.0)
-
-
 class TestTheoreticalPcf:
     def test_coincidence(self):
         assert kernels.theoretical_pcf(0.5, 0.5, 0.5, +1) == pytest.approx(2.0)
@@ -271,10 +206,6 @@ class TestKernelFromSpec:
     def test_hermite_mode_alias(self):
         kern = kernels.kernel_from_spec({"name": "hermite", "params": {"N": 6}})
         assert kern.rank == 6
-
-    def test_chiral_default_epsilon(self):
-        kern = kernels.chiral_thermal_kernel(2.0, 0.1)
-        assert np.isfinite(kern(0.0, 0.0))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown kernel"):

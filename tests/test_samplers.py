@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, norm
 
-from ppoptics import gaussian_field, kernels, samplers
+from ppoptics import kernels, samplers
 from ppoptics.samplers import CellGrid, PointConfiguration, RankLossError, Window
 
 
@@ -54,11 +54,6 @@ class TestPointConfiguration:
     def test_nan_is_outside_the_window(self, values):
         with pytest.raises(ValueError, match="outside the window"):
             PointConfiguration(values, Window(0, 1))
-
-    def test_translate(self):
-        c = PointConfiguration([0.25, 0.5], Window(0, 1)).translate(2.0)
-        assert np.allclose(c.points, [2.25, 2.5])
-        assert c.window == Window(2.0, 3.0)
 
     def test_window_is_the_kernels_window(self):
         # one window type: a kernel's window is the window its samples live on
@@ -260,7 +255,7 @@ class TestPermanental:
     @pytest.mark.parametrize("seed, reps, window", [
         *(pytest.param(seed, 9, (0.5, 1.25), id=str(seed)) for seed in range(3)),
         pytest.param(3, 1, (0.5, 1.25), id="one-replicate"),
-        # 1024 cells: four blocks of the recursion (the circulant had to double here)
+        # a grid at the 1024-cell floor: four blocks of 256 cells of the recursion
         pytest.param(4, 9, (0.0, 0.25), id="doubled-embedding"),
     ])
     def test_matches_per_replicate_field_then_cox(self, seed, reps, window):
@@ -285,34 +280,16 @@ class TestPermanental:
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("seed, window", [
-        pytest.param(0, (0.5, 1.25), id="0"),
-        # on a window of 0.25 the embedding has to double (m = 4n)
-        pytest.param(1, (0.0, 0.25), id="doubled-embedding"),
-    ])
-    def test_circulant_covariance_matches_field_then_cox(self, seed, window):
-        # a Gaussian envelope is not Markov: its field comes from the circulant
-        # embedding, whole-circulant normals first, then sample_cox on the same generator
+    @pytest.mark.parametrize("name", ["gaussian", None])
+    def test_other_covariances_refused(self, name):
+        # a Gaussian envelope is not Markov: the AR(1) draw cannot take it
         def c0(tau):
             return 2.0 * np.exp(-0.5 * (tau / 0.05) ** 2) * np.exp(100j * tau)
 
-        cov = kernels.StationaryCovariance(c0, {"name": "gaussian", "omega": 100.0})
-        w = Window(*window)
-        grid = CellGrid(w, 2048)
-        reps = 9
-        with pytest.warns(UserWarning, match="clipped negative embedding"):
-            d = gaussian_field.embedding_spectrum(cov, grid.n, grid.cell)
-        m = d.size
-        want = []
-        for s in np.random.SeedSequence(seed).spawn(reps):
-            rng = np.random.default_rng(s)
-            z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-            field = (np.fft.ifft(np.sqrt(d) * z) * np.sqrt(m))[: grid.n]
-            want.append(samplers.sample_cox(np.abs(field) ** 2, grid, 40.0, rng))
-        with pytest.warns(UserWarning, match="clipped negative embedding"):
-            got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
-        assert [len(c) for c in got] == [len(c) for c in want]
-        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
+        params = {"name": name, "sigma": 0.05, "omega": 100.0} if name else {}
+        cov = kernels.StationaryCovariance(c0, params)
+        with pytest.raises(ValueError, match="analytic Lorentz covariance only"):
+            samplers.sample_permanental_batch(cov, 40.0, Window(0, 1), 2, 0)
 
     def test_negative_scale_rejected(self):
         cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
