@@ -49,6 +49,9 @@ def cmd_sample(args, config: dict) -> int:
     """Sample a batch to CSV; `config`, filled as it is resolved, is its header."""
     config.update({"family": args.family, "seed": args.seed, "command": "sample"})
     w = kernels.Window(args.window[0], args.window[1])
+    npu = args.nodes_per_unit
+    if npu is None and args.family != "permanental":
+        npu = samplers.DEFAULT_NODES_PER_UNIT
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     if args.lambdas and args.family != "dpp-mixture":
@@ -67,10 +70,10 @@ def cmd_sample(args, config: dict) -> int:
     elif args.family == "permanental":
         config.update({"sigma": args.sigma, "omega": args.omega, "scale": args.scale})
         cov = kernels.analytic_lorentz_kernel(args.sigma, args.omega)
-        config["nodes_per_unit"] = args.nodes_per_unit
-        batch = samplers.sample_permanental_batch(
-            cov, args.scale, w, args.reps, args.seed, args.nodes_per_unit
-        )
+        if npu is None:
+            npu = samplers.permanental_nodes_per_unit(cov)
+        config["nodes_per_unit"] = npu
+        batch = samplers.sample_permanental_batch(cov, args.scale, w, args.reps, args.seed, npu)
     elif args.family in ("projection-dpp", "dpp-mixture"):
         # a projection takes its eigenvalues from the kernel, a mixture from --lambdas
         spec = parse_kernel_arg(args.kernel)
@@ -88,13 +91,11 @@ def cmd_sample(args, config: dict) -> int:
             w = kern.window
             config["window_from_kernel"] = True
         kern = kernels.SpectralKernel(lambdas or kern.eigenvalues, kern.basis, -1, w)
-        config["nodes_per_unit"] = args.nodes_per_unit
-        batch = samplers.sample_dpp_mixture_batch(
-            kern, args.reps, args.seed, args.nodes_per_unit
-        )
+        config["nodes_per_unit"] = npu
+        batch = samplers.sample_dpp_mixture_batch(kern, args.reps, args.seed, npu)
     else:  # fock, the last of the parser's choices
         config.update({"k": args.k, "center": args.center, "width": args.width,
-                       "nodes_per_unit": args.nodes_per_unit})
+                       "nodes_per_unit": npu})
         c, s = args.center, args.width
         if not 0 < s < np.inf:
             raise ValueError(f"--width must be positive and finite, got {s}")
@@ -104,7 +105,7 @@ def cmd_sample(args, config: dict) -> int:
             w,
             args.reps,
             args.seed,
-            args.nodes_per_unit,
+            npu,
         )
     out = _resolve_out(args.out)
     samplers.save_batch_csv(out, batch, config)
@@ -430,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--k", type=int, default=5, help="fock: number of particles")
     p_sample.add_argument("--center", type=float, default=0.5, help="fock envelope center")
     p_sample.add_argument("--width", type=float, default=0.15, help="fock envelope width")
-    p_sample.add_argument("--nodes-per-unit", type=int, default=samplers.DEFAULT_NODES_PER_UNIT)
+    p_sample.add_argument("--nodes-per-unit", type=int,
+                          help="grid cells per unit length, recorded in the header; default "
+                               f"{samplers.DEFAULT_NODES_PER_UNIT}, but for the permanental "
+                               "family a fixed number of cells per sigma")
     p_sample.add_argument("--out", required=True)
 
     p_pcf = sub.add_parser("pcf", help="pair-correlation estimate of a sampled batch")

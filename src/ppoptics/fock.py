@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from .wick import wick_expand
@@ -325,28 +325,57 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def _displacement_eigenbasis(alpha: complex, cutoff: int):
+    """(v, x, c, phases) with D(alpha) = u diag(phases) u^dag and u = diag(c^n) v.
+
+    The truncated position operator (a + a^dag) / sqrt(2) is tridiagonal;
+    v diag(x) v^T is its eigendecomposition, x the Gauss-Hermite nodes
+    (Golub and Welsch 1969).  With alpha = r e^{i phi} and R = e^{i phi n},
+    S = e^{i pi n / 2}, the truncated generator alpha a^dag - conj(alpha) a is
+    R r (a^dag - a) R^dag = -i sqrt(2) r (RS) x (RS)^dag, so u = RS v,
+    c = e^{i (phi + pi/2)} and phases = exp(-i sqrt(2) r x).
+    """
+    n = np.arange(cutoff + 1)
+    x, v = eigh_tridiagonal(np.zeros(cutoff + 1), np.sqrt(n[1:] / 2.0))
+    c = 1j * np.exp(1j * np.angle(alpha))
+    return v, x, c, np.exp(-1j * np.sqrt(2.0) * abs(alpha) * x)
+
+
 def displacement_operator(alpha: complex, cutoff: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - conj(alpha) a) by matrix exponential."""
-    a = ladder(ModeSpec(1, cutoff, 1), 0, "annihilate").matrix.toarray()
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space, as
+    I + u diag(phases - 1) u^dag in the eigenbasis of `_displacement_eigenbasis`;
+    D(0) is the identity exactly."""
+    v, x, c, phases = _displacement_eigenbasis(alpha, cutoff)
+    u = c ** np.arange(cutoff + 1)[:, None] * v
+    return np.eye(cutoff + 1) + (u * (phases - 1.0)) @ u.conj().T
 
 
 def displacement_check(alpha: complex, cutoff: int) -> dict:
-    """Deviation report for the displacement relations.
+    """Deviation report for the displacement relations, in the eigenbasis of
+    `_displacement_eigenbasis`.
 
     Checks D^{-1} a D = a + alpha on the low-occupation subspace
-    (truncation corrupts the top of the ladder) and D(alpha)|0> against
-    the truncated coherent state.
+    (truncation corrupts the top of the ladder), D(alpha)|0> against the
+    truncated coherent state, and the unitarity of D: the orthonormality of
+    the eigenbasis and the unit modulus of its phases.
     """
-    a = ladder(ModeSpec(1, cutoff, 1), 0, "annihilate").matrix.toarray()
-    d_op = displacement_operator(alpha, cutoff)
-    shifted = d_op.conj().T @ a @ d_op - a - alpha * np.eye(cutoff + 1)
-    low = np.arange(cutoff + 1) < max(1, cutoff // 2)
-    action_dev = float(np.abs(shifted[np.ix_(low, low)]).max())
-    vac = np.zeros(cutoff + 1, dtype=complex)
-    vac[0] = 1.0
-    vacuum_dev = float(np.linalg.norm(d_op @ vac - coherent_state(alpha, cutoff)))
-    unitarity = float(np.abs(d_op.conj().T @ d_op - np.eye(cutoff + 1)).max())
+    v, x, c, phases = _displacement_eigenbasis(alpha, cutoff)
+    n = np.arange(cutoff + 1)
+    # u^dag a u = c v^T a v, and a v shifts the rows of v up by one
+    av = np.zeros_like(v)
+    av[:-1] = np.sqrt(n[1:])[:, None] * v[1:]
+    a_eig = c * (v.T @ av)
+    # u^dag (D^dag a D - a - alpha) u has entries a_eig[j, k] (conj(phase_j) phase_k - 1)
+    # - alpha [j = k]; back in the number basis u = diag(c^n) v, and the phases c^n
+    # leave the moduli of v (.) v^T unchanged
+    theta = np.sqrt(2.0) * abs(alpha) * (x[:, None] - x[None, :])
+    shifted = a_eig * np.expm1(1j * theta) - alpha * np.eye(cutoff + 1)
+    low = v[: max(1, cutoff // 2)]
+    action_dev = float(np.abs(low @ shifted @ low.T).max())
+    vacuum = c**n * (v @ (phases * v[0]))
+    vacuum_dev = float(np.linalg.norm(vacuum - coherent_state(alpha, cutoff)))
+    unitarity = max(float(np.abs(v.T @ v - np.eye(cutoff + 1)).max()),
+                    float(np.abs(np.abs(phases) - 1.0).max()))
     return {
         "alpha": alpha,
         "cutoff": cutoff,

@@ -15,8 +15,11 @@ Lorentz one, by the exact AR(1) recursion of the field's envelope, on a
 grid whose cell resolves its sigma.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
-window (inverse-CDF draws with uniform jitter inside a cell); grid density
-is a knob and convergence is checked by doubling in the tests.  The
+window (inverse-CDF draws with uniform jitter inside a cell).  The
+determinantal and fixed-count samplers take DEFAULT_NODES_PER_UNIT cells
+per unit length unless given a density; the permanental draw takes a fixed
+number of cells per sigma (`permanental_nodes_per_unit`), because its
+discretisation error depends on cells per sigma, not per unit length.  The
 permanental field is drawn at the same cell centers and nowhere outside
 the window: a stationary field's law on the window does not depend on what
 lies beyond it.  `sample_cox` takes its window from the grid.
@@ -44,11 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_field import _intensity_sampler
+from .gaussian_field import _intensity_sampler, permanental_nodes_per_unit
 from .kernels import SpectralKernel, Window
 
 
-# grid density of every sampler on a CellGrid, and of the CLI, unless given
+# grid density of the determinantal and fixed-count samplers, in the library and
+# the CLI, unless given; the permanental default follows sigma instead
 DEFAULT_NODES_PER_UNIT = 4096
 # largest expected point count per Poisson replicate, rate_max * window length;
 # each replicate holds a few float arrays of about this length
@@ -227,7 +231,7 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
 
 
 def sample_permanental_batch(
-    cov, scale, w: Window, reps: int, seed, nodes_per_unit: int = DEFAULT_NODES_PER_UNIT
+    cov, scale, w: Window, reps: int, seed, nodes_per_unit: int | None = None
 ) -> list:
     """Permanental samples with kernel scale * cov, for the analytic Lorentz
     covariance cov.
@@ -235,11 +239,14 @@ def sample_permanental_batch(
     Each replicate draws |E+|^2 of a circularly-symmetric complex Gaussian
     field at the window's cell centers, by the AR(1) recursion of its
     envelope, then runs `sample_cox` at rate scale * |E+|^2, both on its own
-    child generator.  Any other covariance, and a grid whose cell exceeds
-    sigma / 4, raise ValueError.
+    child generator.  The grid density defaults to
+    `permanental_nodes_per_unit(cov)`.  Any other covariance, and a grid
+    whose cell exceeds sigma / 4, raise ValueError.
     """
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
+    if nodes_per_unit is None:
+        nodes_per_unit = permanental_nodes_per_unit(cov)
     grid = CellGrid(w, nodes_per_unit)
     draw = _intensity_sampler(cov, grid.n, grid.cell)
     return [sample_cox(draw(rng), grid, scale, rng) for rng in _child_rngs(seed, reps)]

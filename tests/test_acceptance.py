@@ -6,9 +6,10 @@ Monte Carlo criteria use fixed seeds, so outcomes are reproducible.
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 from scipy.stats import poisson as poisson_dist
 
-from ppoptics import builder, cli, estimators, fock, kernels, samplers, wick
+from ppoptics import builder, cli, estimators, fock, gaussian_field, kernels, samplers, wick
 from ppoptics.samplers import PointConfiguration, Window
 
 
@@ -121,9 +122,9 @@ def test_c04_pair_correlation_closed_forms(matched_batches):
     ok_p = bool(np.all(dev_p <= 0))
 
     est_g = estimators.estimate_pcf(matched_batches["permanental"])
-    want = 1.0 + np.exp(-2.0 * est_g.r_mid / 0.1)
+    want = cli._theory_curve("permanental:sigma=0.1", est_g.bin_edges, 1.0)
     dev_g = np.abs(est_g.g_hat - want) - 4.0 * est_g.stderr
-    # at the first bin's midpoint the closed form is 1 + e^{-0.05}, not the coincidence value 2
+    # the first bin, sigma / 20 wide, expects 1.95, not the coincidence value 2
     ok_g = bool(np.all(dev_g <= 0)) and abs(est_g.g_hat[0] - want[0]) < 0.1
 
     est_d = estimators.estimate_pcf(matched_batches["dpp"])
@@ -139,7 +140,105 @@ def test_c04_pair_correlation_closed_forms(matched_batches):
            f"dpp g(0+)={est_d.g_hat[0]:.3f} (<0.1)")
 
 
-def test_c05_dispersion_ordering():
+def permanental_count_pmf(gamma: float, mean: float, size: int = 1024) -> np.ndarray:
+    """P(N = k), k < size, for the permanental process of amplitude correlation
+    exp(-|tau| / sigma) on a window of length gamma * sigma with `mean` expected points.
+
+    The pgf is the Fredholm determinant det(I + (1 - z) K)^-1 (Macchi 1975), in
+    closed form Q(1 - z) with Q(s) = e^gamma / (cosh(gamma y) + (y + 1/y) sinh(gamma y) / 2)
+    and y = sqrt(1 + 2 s mean / gamma) (Slepian 1958; Mandel 1959), written here as
+    4 y e^{gamma (1 - y)} / ((1 + y)^2 - (1 - y)^2 e^{-2 gamma y}), which does not
+    overflow.  Q is even in y, so the branch of the root does not matter.  The pmf
+    is the FFT of the pgf on `size` points of the unit circle.
+    """
+    s = 1.0 - np.exp(2j * np.pi * np.arange(size) / size)
+    y = np.sqrt(1.0 + 2.0 * s * mean / gamma)
+    pgf = 4.0 * y * np.exp(gamma * (1.0 - y)) / (
+        (1.0 + y) ** 2 - (1.0 - y) ** 2 * np.exp(-2.0 * gamma * y)
+    )
+    return np.fft.fft(pgf).real / size
+
+
+def pooled_chi2(counts: np.ndarray, pmf: np.ndarray):
+    """(chi^2, degrees of freedom) of integer counts against pmf; the counts below the
+    first cell expecting 5 or more are pooled into it, and those above the last such
+    cell, beyond the table included, into that one."""
+    expected = counts.size * pmf
+    big = np.flatnonzero(expected >= 5)
+    lo, hi = big[0], big[-1]
+    observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
+    want = expected[lo : hi + 1].copy()
+    want[0] = expected[: lo + 1].sum()
+    want[-1] = counts.size - expected[:hi].sum()
+    return float(((observed - want) ** 2 / want).sum()), want.size - 1
+
+
+def ou_cox_counts(scale, sigma, parts: int, reps: int, seed, cells: int = 256):
+    """Point counts of `reps` Cox replicates on [0, 1] at rate scale * |X|^2, with X
+    `parts` independent real Ornstein-Uhlenbeck components of correlation time sigma,
+    each of variance 2 / parts, on `cells` cells: given the integrated intensity the
+    count is Poisson.  At parts = 2 this is the permanental count law."""
+    rng = np.random.default_rng(seed)
+    recursion = gaussian_field._ou_recursion(cells, 1.0 / (cells * sigma))
+    out = []
+    for chunk in np.array_split(np.arange(reps), max(1, reps // 500)):
+        a = recursion(rng.standard_normal((chunk.size, parts, cells)))
+        out.append(rng.poisson(scale * (2.0 / parts) * (a**2).sum(axis=(1, 2)) / cells))
+    return np.concatenate(out)
+
+
+# 5% level of the count-law gate
+COUNT_LAW_LEVEL = 0.05
+
+
+@pytest.fixture(scope="module")
+def thermal_counts():
+    """Counts of test_c05's 10,000 permanental replicates: sigma 0.1 and scale 25 on
+    [0, 1], so 50 points per replicate on average."""
+    cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
+    batch = samplers.sample_permanental_batch(cov, 25.0, Window(0, 1), 10_000, seed=51)
+    return np.array([len(c) for c in batch])
+
+
+def count_law_chi2(counts, mean):
+    """(chi^2, df, 5% critical value) of counts against the permanental count law at
+    sigma 0.1 on [0, 1] with `mean` expected points."""
+    stat, df = pooled_chi2(counts, permanental_count_pmf(10.0, mean))
+    return stat, df, chi2_dist.ppf(1 - COUNT_LAW_LEVEL, df)
+
+
+@pytest.mark.parametrize("batch", ["c04", "c05"])
+def test_permanental_count_law(matched_batches, thermal_counts, batch):
+    """The permanental counts of test_c04 (mean lam0) and of test_c05 (mean 50) against
+    the closed-form count law, chi^2 at 5%."""
+    if batch == "c04":
+        counts = np.array([len(c) for c in matched_batches["permanental"]])
+        mean = matched_batches["lam0"]
+    else:
+        counts, mean = thermal_counts, 50.0
+    stat, df, crit = count_law_chi2(counts, mean)
+    report(4, stat <= crit, f"{batch} count-law chi^2 {stat:.1f} on {df} df "
+                            f"(5% critical {crit:.1f}), {counts.size} replicates")
+
+
+@pytest.mark.parametrize("parts, sigma, rejected", [
+    (2, 0.1, False),  # the permanental law itself: the gate passes it
+    (1, 0.1, True),  # |X|^2 of a real OU process, same mean
+    (2, 0.125, True),  # sigma off by 25%
+], ids=["permanental", "real-ou", "sigma-x1.25"])
+@pytest.mark.parametrize("batch", ["c04", "c05"])
+def test_count_law_rejects_mutants(matched_batches, batch, parts, sigma, rejected):
+    """The count-law gate has power: at each batch's mean and replicate count it
+    rejects the mutants and passes the law it tests."""
+    mean, reps = (matched_batches["lam0"], REPS_PCF) if batch == "c04" else (50.0, 10_000)
+    counts = ou_cox_counts(mean / 2.0, sigma, parts, reps, seed=43)
+    stat, df, crit = count_law_chi2(counts, mean)
+    report(4, (stat > crit) == rejected,
+           f"{batch}, {parts} OU part(s), sigma {sigma}: chi^2 {stat:.1f} on {df} df "
+           f"(5% critical {crit:.1f}), rejected: {stat > crit}")
+
+
+def test_c05_dispersion_ordering(thermal_counts):
     """Fano: mixture DPP < 1 < permanental at 3 sigma; projection variance 0."""
     base = kernels.hermite_projection_kernel(12)
     mixture = kernels.SpectralKernel(np.full(12, 0.55), base.basis, -1, base.window)
@@ -150,13 +249,7 @@ def test_c05_dispersion_ordering():
     ], dtype=float)
     fano_d, se_d = batched_fano(counts_d)
 
-    cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-    counts_g = np.array([
-        len(c) for c in samplers.sample_permanental_batch(
-            cov, 25.0, Window(0, 1), 10_000, seed=51
-        )
-    ], dtype=float)
-    fano_g, se_g = batched_fano(counts_g)
+    fano_g, se_g = batched_fano(thermal_counts.astype(float))
 
     kern = kernels.hermite_projection_kernel(10)
     proj = samplers.sample_dpp_mixture_batch(kern, 300, seed=52, nodes_per_unit=1024)

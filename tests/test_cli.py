@@ -2,6 +2,7 @@
 byte-exact reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,11 +143,32 @@ class TestSample:
         assert run(["sample", "--family", "permanental", "--window", "0", str(length),
                     "--scale", str(scale), "--reps", str(reps), "--out", str(out)]) == 0
         batch, meta = load_batch_csv(out)
-        assert meta["nodes_per_unit"] == 4096
+        assert meta["nodes_per_unit"] == 640
         counts = np.array([len(c) for c in batch], dtype=float)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - scale * 2.0 * length) < 3 * stderr
 
+    @pytest.mark.parametrize("sigma, omega, nodes", [
+        ("0.1", "100", 640),
+        # refused at an explicit 4096 nodes per unit: see permanental-unresolved-sigma
+        ("0.000326", "3068", 196320),
+    ])
+    def test_permanental_default_grid_follows_sigma(self, sigma, omega, nodes, tmp_path):
+        # ceil(64 / sigma) nodes per unit, recorded in the header; the rows equal, byte
+        # for byte, the library's at that density and at its own default
+        out, want = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert run(["sample", "--family", "permanental", "--sigma", sigma, "--omega", omega,
+                    "--scale", "25", "--reps", "5", "--seed", "2", "--out", str(out)]) == 0
+        assert load_batch_csv(out)[1]["nodes_per_unit"] == nodes == math.ceil(64 / float(sigma))
+        rows = out.read_bytes().split(b"\n", 1)[1]
+        assert rows.count(b"\r\n") > 5
+        cov = kernels.analytic_lorentz_kernel(float(sigma), float(omega))
+        for nodes_per_unit in (nodes, None):
+            batch = samplers.sample_permanental_batch(
+                cov, 25.0, kernels.Window(0, 1), 5, 2, nodes_per_unit
+            )
+            samplers.save_batch_csv(want, batch, {})
+            assert want.read_bytes().split(b"\n", 1)[1] == rows
 
     def test_carrier_does_not_change_the_samples(self, tmp_path):
         # |E|^2 never sees the carrier, so a grid far too coarse for it samples too
@@ -192,11 +214,13 @@ class TestPcf:
 
     def test_permanental_theory_bin_width_sigma_exit_zero(self, tmp_path):
         # bins one sigma wide: the curve at the bin midpoint is 6.2 stderr below
-        # the first bin, its bin expectation within 1.8 stderr of every bin
+        # the first bin, its bin expectation within 1.8 stderr of every bin.  An
+        # explicit grid of 20 cells per sigma: the default, 64, costs 3 times as much
         batch = tmp_path / "batch.csv"
         assert run([
             "sample", "--family", "permanental", "--sigma", "0.005", "--omega", "1000",
-            "--scale", "25", "--reps", "4000", "--seed", "0", "--out", str(batch),
+            "--scale", "25", "--reps", "4000", "--seed", "0", "--nodes-per-unit", "4096",
+            "--out", str(batch),
         ]) == 0
         assert run(["pcf", "--batch", str(batch), "--theory", "permanental:sigma=0.005",
                     "--out", str(tmp_path / "pcf.csv")]) == 0
@@ -266,8 +290,9 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--family", "poisson", "--rate", "5", "--window", "1", "0"],
-        # cells of 2.4e-4 against sigma / 4 = 8.2e-5
-        ["sample", "--family", "permanental", "--sigma", "0.000326", "--omega", "3068"],
+        # an explicit grid: cells of 2.4e-4 against sigma / 4 = 8.2e-5
+        ["sample", "--family", "permanental", "--sigma", "0.000326", "--omega", "3068",
+         "--nodes-per-unit", "4096"],
         ["sample", "--family", "projection-dpp", "--kernel", "lorentz:sigma=1,omega=3"],
         ["sample", "--family", "dpp-mixture", "--kernel", "lorentz:sigma=1,omega=3",
          "--lambdas", "0.5"],
@@ -326,7 +351,9 @@ class TestUserErrors:
         # 1e11 cells: refused before the grid's arrays (745 GiB of centers) exist
         ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
-        # float64 spacing 1.2e-4 at 1e12, against cells of 2.4e-4
+        # the default grid, ceil(64 / sigma) = 6.4e7 cells on [0, 1], is above the cap
+        ["sample", "--family", "permanental", "--sigma", "1e-6", "--omega", "1e7"],
+        # float64 spacing 1.2e-4 at 1e12, against cells of 9.8e-4
         ["sample", "--family", "permanental", "--scale", "25", "--reps", "20",
          "--window", "1e12", "1000000000001"],
         # about 3% of the points would merge in np.unique
@@ -351,7 +378,8 @@ class TestUserErrors:
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
             "batch-is-a-directory", "fock-zero-width", "fock-nan-width", "fock-nan-center",
             "fock-unresolved-envelope",
-            "fock-too-many-cells", "permanental-too-many-cells", "permanental-far-window",
+            "fock-too-many-cells", "permanental-too-many-cells",
+            "permanental-default-grid-too-many-cells", "permanental-far-window",
             "poisson-far-window", "hermite-two-mode-counts", "hermite-unknown-key",
             "theory-unknown-key"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import poisson as poisson_dist
 
 from ppoptics import fock
@@ -255,6 +256,15 @@ class TestDisplacement:
     def test_alpha_zero_is_identity(self):
         d = fock.displacement_operator(0.0, 10)
         assert np.abs(d - np.eye(11)).max() == 0.0
+
+    @pytest.mark.parametrize("alpha, cutoff", [
+        (0.5, 40), (1.5, 60), (0.3 - 0.7j, 20), (3 + 1j, 80), (-0.5, 40), (1e-9j, 8),
+    ])
+    def test_matches_matrix_exponential(self, alpha, cutoff):
+        # the eigenbasis of the truncated position operator against a dense expm
+        a = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
+        want = expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.abs(fock.displacement_operator(alpha, cutoff) - want).max() < 1e-13
 
     def test_reference_regime(self):
         report = fock.displacement_check(0.5, 40)

@@ -296,6 +296,13 @@ class TestPermanental:
         with pytest.raises(ValueError, match="scale"):
             samplers.sample_permanental_batch(cov, -1.0, Window(0, 1), 2, 0)
 
+    def test_default_grid_of_a_subnormal_sigma_refused(self):
+        # 64 / sigma overflows to inf: no grid density, and a ValueError, not an OverflowError
+        with pytest.warns(UserWarning, match="carrier"):
+            cov = kernels.analytic_lorentz_kernel(1e-320, 1e300)
+        with pytest.raises(ValueError, match="nodes per unit"):
+            samplers.permanental_nodes_per_unit(cov)
+
 
 class TestProjectionDpp:
     def test_cardinality_always_n(self):
