@@ -69,11 +69,17 @@ def cmd_sample(args, config: dict) -> int:
         )
     elif args.family == "permanental":
         config.update({"sigma": args.sigma, "omega": args.omega, "scale": args.scale})
-        cov = kernels.analytic_lorentz_kernel(args.sigma, args.omega)
-        if npu is None:
-            npu = samplers.permanental_nodes_per_unit(cov)
-        config["nodes_per_unit"] = npu
-        batch = samplers.sample_permanental_batch(cov, args.scale, w, args.reps, args.seed, npu)
+        samplers.check_sigma(args.sigma)
+        # omega is only recorded: the samples do not depend on it
+        if not -np.inf < args.omega < np.inf:
+            raise ValueError(f"omega must be finite, got {args.omega}")
+        config["nodes_per_unit"] = (
+            npu if npu is not None else samplers.permanental_nodes_per_unit(args.sigma)
+        )
+        # None lets the sampler refuse a default grid by its rule
+        batch = samplers.sample_permanental_batch(
+            args.sigma, args.scale, w, args.reps, args.seed, npu
+        )
     elif args.family in ("projection-dpp", "dpp-mixture"):
         # a projection takes its eigenvalues from the kernel, a mixture from --lambdas
         spec = parse_kernel_arg(args.kernel)
@@ -118,24 +124,15 @@ def cmd_sample(args, config: dict) -> int:
 # pcf
 
 
-def _theory_curve(theory: str, edges: np.ndarray, length: float) -> np.ndarray:
-    """What `estimate_pcf` expects in each bin on a window of `length` L: the bin
-    average of g(r) weighted by (L - r), with g(r) = 1 + exp(-2r/s) for
-    'permanental:sigma=s' (Macchi 1975)."""
-    if theory == "poisson":
-        return np.ones(edges.size - 1)
+def _theory_sigma(theory: str) -> float:
+    """The sigma of a 'permanental:sigma=s' theory spec."""
     spec = parse_kernel_arg(theory)
     if spec["name"] != "permanental" or set(spec["params"]) != {"sigma"}:
         raise ValueError(f"unknown theory {theory!r} (use 'poisson' or 'permanental:sigma=...')")
     sigma = spec["params"]["sigma"]
     if not 0 < sigma < np.inf:
         raise ValueError(f"theory sigma must be positive and finite, got {sigma}")
-    r1, h = edges[:-1], np.diff(edges)
-    # int_bin (L - r) exp(-2r/s) dr = (s/2) exp(-2 r1/s) inner, with x = 2h/s
-    x = 2 * h / sigma
-    inner = -(length - r1 - sigma / 2) * np.expm1(-x) + h * np.exp(-x)
-    bunched = sigma / 2 * np.exp(-2 * r1 / sigma) * inner
-    return 1.0 + bunched / (h * (length - r1 - h / 2))
+    return sigma
 
 
 def cmd_pcf(args, config: dict) -> int:
@@ -152,7 +149,12 @@ def cmd_pcf(args, config: dict) -> int:
     length = samplers.batch_window(batch).length
     rmax = args.rmax or length / 4.0
     est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
-    g_theory = _theory_curve(args.theory, est.bin_edges, length) if args.theory else None
+    if args.theory == "poisson":
+        g_theory = np.ones(args.bins)
+    elif args.theory:
+        g_theory = estimators.expected_pcf(est.bin_edges, length, _theory_sigma(args.theory))
+    else:
+        g_theory = None
     header = "# ppoptics-pcf " + json.dumps(
         {"batch": os.path.basename(batch_path), "batch_meta": meta, "bins": args.bins,
          "rmax": rmax, "theory": args.theory},

@@ -18,6 +18,9 @@ the last edge are formed, one lag at a time.  Bins follow `np.histogram`
 with array edges: [e_m, e_m+1), the last bin closed on the right; values
 outside [e_0, e_last] are not counted, and decreasing edges raise
 ValueError.
+
+`expected_pcf` is the theory side: what `estimate_pcf` expects in each bin
+for the Lorentz-line permanental process, in closed form.
 """
 
 import csv
@@ -183,6 +186,20 @@ def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
     spread = counts.std(axis=0, ddof=1) if reps > 1 else np.zeros_like(norm)
     stderr = spread / np.sqrt(reps) / norm
     return PcfEstimate(edges, g, stderr, reps)
+
+
+def expected_pcf(edges, length: float, sigma: float) -> np.ndarray:
+    """What `estimate_pcf` expects in each bin for the permanental process of
+    envelope time sigma (finite, > 0) on a window of `length` L: the bin average
+    of g(r) = 1 + exp(-2r/sigma) (Macchi 1975) weighted by (L - r), the edge
+    factor of its Poisson normalisation."""
+    edges = np.asarray(edges, dtype=float)
+    r1, h = edges[:-1], np.diff(edges)
+    # int_bin (L - r) exp(-2r/s) dr = (s/2) exp(-2 r1/s) inner, with x = 2h/s
+    x = 2 * h / sigma
+    inner = -(length - r1 - sigma / 2) * np.expm1(-x) + h * np.exp(-x)
+    bunched = sigma / 2 * np.exp(-2 * r1 / sigma) * inner
+    return 1.0 + bunched / (h * (length - r1 - h / 2))
 
 
 def count_statistics(batch) -> dict:

@@ -1,16 +1,17 @@
-"""The permanental intensity |E|^2 of a circular complex Gaussian field.
+"""The permanental intensity |E|^2 of the Lorentz-line circular complex
+Gaussian field, of covariance 2 exp(-|tau|/sigma) e^{i omega tau}.
 
-`_intensity_sampler` draws it for the analytic Lorentz covariance only, by
-the exact AR(1) recursion of the field's complex Ornstein-Uhlenbeck
-envelope (Gillespie 1996), on a grid that must resolve sigma.  When no grid
-density is given, `permanental_nodes_per_unit` sets it from sigma.
+The field is e^{i omega t} A(t) with A a complex Ornstein-Uhlenbeck process,
+so |E|^2 = |A|^2 depends on the envelope time sigma alone, never on the
+carrier omega (Macchi 1975).  `_intensity_sampler(sigma, n, dt)` draws it by
+the exact AR(1) recursion of A (Gillespie 1996), on a grid that must resolve
+sigma.  When no grid density is given, `permanental_nodes_per_unit` sets it
+from sigma.  `check_sigma` is the one check of sigma.
 """
 
 import math
 
 import numpy as np
-
-from .kernels import StationaryCovariance
 
 # longest run of cells one cumulative sum of the Ornstein-Uhlenbeck recursion covers
 _OU_MAX_BLOCK = 256
@@ -74,24 +75,19 @@ _MAX_CELL_PER_SIGMA = 0.25
 _CELLS_PER_SIGMA = 64
 
 
-def _lorentz_sigma(cov: StationaryCovariance) -> float:
-    """The sigma of an analytic Lorentz covariance; any other covariance is refused."""
-    if cov.params.get("name") != "analytic_lorentz":
-        raise ValueError(
-            "the permanental intensity is drawn for the analytic Lorentz covariance only, "
-            f"got {cov.params.get('name')!r}"
-        )
-    return cov.params["sigma"]
+def check_sigma(sigma: float):
+    """Refuse an envelope time sigma that is not finite and positive (NaN included)."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
-def permanental_nodes_per_unit(cov: StationaryCovariance) -> int:
-    """The grid density of a permanental draw of covariance cov when none is given:
-    ceil(_CELLS_PER_SIGMA / sigma) nodes per unit length.
+def permanental_nodes_per_unit(sigma: float) -> int:
+    """The grid density of a permanental draw of envelope time sigma when none is
+    given: ceil(_CELLS_PER_SIGMA / sigma) nodes per unit length.
 
-    A sigma so small that the density is not a finite float raises ValueError;
-    `CellGrid` refuses one whose grid would exceed its cap.
+    A sigma so small that the density is not a finite float raises ValueError.
     """
-    sigma = _lorentz_sigma(cov)
+    check_sigma(sigma)
     per_unit = _CELLS_PER_SIGMA / sigma
     if not per_unit < np.inf:
         raise ValueError(
@@ -101,18 +97,14 @@ def permanental_nodes_per_unit(cov: StationaryCovariance) -> int:
     return math.ceil(per_unit)
 
 
-def _intensity_sampler(cov: StationaryCovariance, n: int, dt: float):
-    """A draw `rng -> |E|^2` of the circular complex field of covariance cov
-    on n nodes spaced dt.
+def _intensity_sampler(sigma: float, n: int, dt: float):
+    """A draw `rng -> |E|^2 = |A|^2` of the field of envelope time sigma on n
+    nodes spaced dt.
 
-    Only the analytic Lorentz covariance 2 exp(-|tau|/sigma) e^{i omega tau}
-    is drawn; any other is refused.  Its field is e^{i omega t} A(t) with A a
-    complex Ornstein-Uhlenbeck process, and |E|^2 = |A|^2; A is the exact
-    AR(1) recursion at the nodes (Gillespie 1996), from the 2n normals
-    rng.standard_normal((2, n)), real parts then imaginary parts, each of
-    unit variance.  A grid whose cell dt exceeds sigma / 4 is refused.
+    A is the exact AR(1) recursion at the nodes (Gillespie 1996), from the 2n
+    normals rng.standard_normal((2, n)), real parts then imaginary parts, each
+    of unit variance.  A grid whose cell dt exceeds sigma / 4 is refused.
     """
-    sigma = _lorentz_sigma(cov)
     bound = _MAX_CELL_PER_SIGMA * sigma
     if not dt <= bound:
         raise ValueError(

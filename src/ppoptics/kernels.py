@@ -1,8 +1,7 @@
-"""The kernel zoo.
+"""Windows and spectral kernels.
 
-The analytic Lorentz covariance of the permanental field, spectral
-(eigenfunction) kernels, and the theoretical pair-correlation formula for
-permanental and determinantal processes.
+The one observation `Window` type of the package, spectral
+(eigenfunction) kernels and their Gram matrices.
 
 A spectral kernel carries its eigenfunctions as one vectorised feature
 map, `basis(x) -> (rank, len(x))`; for Hermite kernels that is a single
@@ -10,13 +9,15 @@ pass of the three-term recurrence (`HermiteBasis`), and a kernel whose
 spectrum defines no point process cannot be constructed.  Only spectral
 kernels have a registry name (`kernel_from_spec`), since only they can be
 sampled from the command line.  A spectral kernel owns its observation
-`Window`, the one window type of the package, and is sampled on it.
+`Window` and is sampled on it.  The permanental (Lorentz-line) process
+needs no kernel object: its law depends on the envelope time sigma alone,
+which the samplers take directly.
 """
 
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,55 +49,6 @@ class Window:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-
-@dataclass(frozen=True)
-class StationaryCovariance:
-    """Stationary covariance tau -> C0(tau), with named parameters.
-
-    C0(0) must be real and positive, and C0(-tau) = conj(C0(tau)).
-    """
-
-    c0: callable
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, tau):
-        return self.c0(np.asarray(tau, dtype=float))
-
-    @property
-    def at_zero(self) -> float:
-        return float(np.real(self.c0(np.asarray(0.0))))
-
-
-def _check_lorentz(sigma: float, omega: float):
-    """Finite sigma > 0 and a finite omega, and a warning when the carrier is not
-    separated from the envelope.  The comparisons are written so that NaN fails."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not -np.inf < omega < np.inf:
-        raise ValueError(f"omega must be finite, got {omega}")
-    if omega < 1.0 / sigma:
-        warnings.warn(
-            f"carrier omega={omega} is not well separated from the envelope "
-            f"rate 1/sigma={1/sigma:g}; the quasi-monochromatic picture degrades",
-            stacklevel=3,
-        )
-
-
-def analytic_lorentz_kernel(sigma: float, omega: float) -> StationaryCovariance:
-    """Covariance of the analytic signal of the Lorentz field: 2 exp(-|tau|/sigma) e^{i omega tau}.
-
-    The factor 2 and the phase follow from taking the analytic signal of
-    a stationary process with a slowly varying envelope (Bedrosian).
-    """
-    _check_lorentz(sigma, omega)
-
-    def c0(tau):
-        return 2.0 * np.exp(-np.abs(tau) / sigma) * np.exp(1j * omega * tau)
-
-    return StationaryCovariance(
-        c0, {"name": "analytic_lorentz", "sigma": sigma, "omega": omega}
-    )
 
 
 def hermite_functions(n: int, x) -> np.ndarray:
@@ -214,24 +166,6 @@ def hermite_projection_kernel(n_modes: int) -> SpectralKernel:
         eta=-1,
         window=Window(-half_width, half_width),
     )
-
-
-def theoretical_pcf(kernel_value_xy: complex, kxx: float, kyy: float, eta: int):
-    """Closed-form pair correlation 1 + eta |K(x,y)|^2 / (K(x,x) K(y,y)).
-
-    >= 1 for permanental kernels (bunching), in [0, 1] for Hermitian
-    determinantal kernels (antibunching).
-    """
-    if eta not in (-1, 1):
-        raise ValueError(f"eta must be +1 or -1, got {eta}")
-    kxx = np.asarray(kxx, dtype=float)
-    kyy = np.asarray(kyy, dtype=float)
-    if np.any(kxx <= 0) or np.any(kyy <= 0):
-        raise ValueError("diagonal kernel values must be positive")
-    g = 1.0 + eta * np.abs(np.asarray(kernel_value_xy)) ** 2 / (kxx * kyy)
-    # rounding can push the coincidence value of a saturated Hermitian
-    # kernel a few ulp below 0; genuine violations stay visible
-    return np.where((g < 0) & (g > -1e-12), 0.0, g)
 
 
 def gram_matrix(kernel: SpectralKernel, points) -> np.ndarray:

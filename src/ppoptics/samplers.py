@@ -8,11 +8,12 @@ an independently spawned child seed, and the determinantal sampler one
 per block of replicates.  `sample_cox` is the exception: it draws once on
 a given intensity path, from a seed or a `Generator`.
 
-A permanental replicate is a draw of |E+|^2, the squared modulus of a
-complex Gaussian field, followed by `sample_cox` on it, both from the
-replicate's own child generator.  The one covariance drawn is the analytic
-Lorentz one, by the exact AR(1) recursion of the field's envelope, on a
-grid whose cell resolves its sigma.
+A permanental replicate is a draw of |E+|^2, the squared modulus of the
+Lorentz-line complex Gaussian field, followed by `sample_cox` on it, both
+from the replicate's own child generator.  Its law depends on the envelope
+time sigma alone, so sigma is the sampler's parameter: the intensity is
+drawn by the exact AR(1) recursion of the field's envelope, on a grid
+whose cell resolves sigma.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell).  The
@@ -47,16 +48,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_field import _intensity_sampler, permanental_nodes_per_unit
+from .gaussian_field import (
+    _CELLS_PER_SIGMA, _intensity_sampler, check_sigma, permanental_nodes_per_unit,
+)
 from .kernels import SpectralKernel, Window
 
 
 # grid density of the determinantal and fixed-count samplers, in the library and
 # the CLI, unless given; the permanental default follows sigma instead
 DEFAULT_NODES_PER_UNIT = 4096
-# largest expected point count per Poisson replicate, rate_max * window length;
-# each replicate holds a few float arrays of about this length
-_POISSON_MAX_MEAN = 1e7
+# largest expected point count per replicate of the Poisson, permanental and
+# fixed-count samplers; each replicate holds a few float arrays of about this length
+_MAX_MEAN_COUNT = 1e7
 # largest expected share of a Poisson replicate's points that coincide in float64
 _POISSON_MAX_MERGED = 1e-6
 # most cells of one CellGrid: 128 MiB of centers, and a sampler holds a few
@@ -172,10 +175,10 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process."""
     if rate_max <= 0:
         raise ValueError(f"rate_max must be positive, got {rate_max}")
-    if not rate_max * w.length <= _POISSON_MAX_MEAN:
+    if not rate_max * w.length <= _MAX_MEAN_COUNT:
         raise ValueError(
             f"rate_max * window length = {rate_max * w.length:g} expected points per "
-            f"replicate, above the limit of {_POISSON_MAX_MEAN:g}"
+            f"replicate, above the limit of {_MAX_MEAN_COUNT:g}"
         )
     # about this share of the points falls on a float64 value already taken and
     # is merged by np.unique: at most 1e-9 for a window [0, b] under the mean cap
@@ -231,24 +234,41 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
 
 
 def sample_permanental_batch(
-    cov, scale, w: Window, reps: int, seed, nodes_per_unit: int | None = None
+    sigma, scale, w: Window, reps: int, seed, nodes_per_unit: int | None = None
 ) -> list:
-    """Permanental samples with kernel scale * cov, for the analytic Lorentz
-    covariance cov.
+    """Permanental samples of the Lorentz line of envelope time sigma: the kernel
+    scale * 2 exp(-|tau|/sigma) e^{i omega tau}, whose law no carrier omega changes.
 
-    Each replicate draws |E+|^2 of a circularly-symmetric complex Gaussian
+    Each replicate draws |E+|^2 of the circularly-symmetric complex Gaussian
     field at the window's cell centers, by the AR(1) recursion of its
     envelope, then runs `sample_cox` at rate scale * |E+|^2, both on its own
     child generator.  The grid density defaults to
-    `permanental_nodes_per_unit(cov)`.  Any other covariance, and a grid
-    whose cell exceeds sigma / 4, raise ValueError.
+    `permanental_nodes_per_unit(sigma)`.  A sigma that is not finite and
+    positive, an expected count 2 * scale * window length above
+    _MAX_MEAN_COUNT and a grid whose cell exceeds sigma / 4 raise ValueError.
     """
+    check_sigma(sigma)
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
+    # E|E+|^2 = 2, the covariance at zero lag
+    mean = 2 * scale * w.length
+    if not mean <= _MAX_MEAN_COUNT:
+        raise ValueError(
+            f"2 * scale * window length = {mean:g} expected points per replicate, above "
+            f"the limit of {_MAX_MEAN_COUNT:g}"
+        )
     if nodes_per_unit is None:
-        nodes_per_unit = permanental_nodes_per_unit(cov)
+        nodes_per_unit = permanental_nodes_per_unit(sigma)
+        cells = nodes_per_unit * w.length
+        if not cells <= _GRID_MAX_CELLS:
+            raise ValueError(
+                f"sigma={sigma:g} on a window of length {w.length:g} needs {cells:g} cells "
+                f"at the default grid of {_CELLS_PER_SIGMA} cells per sigma, above the "
+                f"limit of {_GRID_MAX_CELLS}; give a coarser nodes_per_unit (a cell of at "
+                "most sigma / 4) or a shorter window"
+            )
     grid = CellGrid(w, nodes_per_unit)
-    draw = _intensity_sampler(cov, grid.n, grid.cell)
+    draw = _intensity_sampler(sigma, grid.n, grid.cell)
     return [sample_cox(draw(rng), grid, scale, rng) for rng in _child_rngs(seed, reps)]
 
 
@@ -465,11 +485,14 @@ def sample_fock_pp_batch(
 ) -> list:
     """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2.
 
-    Refused when one cell holds more than `_FOCK_MAX_CELL_SHARE` of the mass:
+    A k above _MAX_MEAN_COUNT is refused before any draw, and so is a grid
+    where one cell holds more than `_FOCK_MAX_CELL_SHARE` of the mass:
     the grid then does not resolve the envelope.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    if k > _MAX_MEAN_COUNT:
+        raise ValueError(f"k = {k} points per replicate, above the limit of {_MAX_MEAN_COUNT:g}")
     grid = CellGrid(w, nodes_per_unit)
     masses = np.abs(np.asarray(phi_plus(grid.centers), dtype=complex)) ** 2
     total = masses.sum()

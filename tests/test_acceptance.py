@@ -104,10 +104,8 @@ def matched_batches():
     poisson = samplers.sample_poisson_batch(
         lambda t: np.full_like(t, lam0), lam0, unit, REPS_PCF, seed=41
     )
-    cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-    permanental = samplers.sample_permanental_batch(
-        cov, lam0 / cov.at_zero, unit, REPS_PCF, seed=42
-    )
+    # E|E+|^2 = 2, the analytic signal's factor 2: scale lam0 / 2 gives lam0 points
+    permanental = samplers.sample_permanental_batch(0.1, lam0 / 2.0, unit, REPS_PCF, seed=42)
     return {"poisson": poisson, "permanental": permanental, "dpp": dpp, "lam0": lam0}
 
 
@@ -122,7 +120,7 @@ def test_c04_pair_correlation_closed_forms(matched_batches):
     ok_p = bool(np.all(dev_p <= 0))
 
     est_g = estimators.estimate_pcf(matched_batches["permanental"])
-    want = cli._theory_curve("permanental:sigma=0.1", est_g.bin_edges, 1.0)
+    want = estimators.expected_pcf(est_g.bin_edges, 1.0, 0.1)
     dev_g = np.abs(est_g.g_hat - want) - 4.0 * est_g.stderr
     # the first bin, sigma / 20 wide, expects 1.95, not the coincidence value 2
     ok_g = bool(np.all(dev_g <= 0)) and abs(est_g.g_hat[0] - want[0]) < 0.1
@@ -195,8 +193,7 @@ COUNT_LAW_LEVEL = 0.05
 def thermal_counts():
     """Counts of test_c05's 10,000 permanental replicates: sigma 0.1 and scale 25 on
     [0, 1], so 50 points per replicate on average."""
-    cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-    batch = samplers.sample_permanental_batch(cov, 25.0, Window(0, 1), 10_000, seed=51)
+    batch = samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), 10_000, seed=51)
     return np.array([len(c) for c in batch])
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from ppoptics import cli, fock, kernels, samplers
+from ppoptics import cli, estimators, fock, kernels, samplers
 from ppoptics.samplers import load_batch_csv
 
 
@@ -162,10 +162,9 @@ class TestSample:
         assert load_batch_csv(out)[1]["nodes_per_unit"] == nodes == math.ceil(64 / float(sigma))
         rows = out.read_bytes().split(b"\n", 1)[1]
         assert rows.count(b"\r\n") > 5
-        cov = kernels.analytic_lorentz_kernel(float(sigma), float(omega))
         for nodes_per_unit in (nodes, None):
             batch = samplers.sample_permanental_batch(
-                cov, 25.0, kernels.Window(0, 1), 5, 2, nodes_per_unit
+                float(sigma), 25.0, kernels.Window(0, 1), 5, 2, nodes_per_unit
             )
             samplers.save_batch_csv(want, batch, {})
             assert want.read_bytes().split(b"\n", 1)[1] == rows
@@ -237,8 +236,21 @@ class TestPcf:
                            epsabs=0.0, epsrel=1e-13)[0] / quad(lambda r: length - r, r1, r2)[0]
                 for r1, r2 in zip(edges[:-1], edges[1:])
             ]
-            got = cli._theory_curve(f"permanental:sigma={sigma}", edges, length)
+            got = estimators.expected_pcf(edges, length, sigma)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_theory_column_is_the_estimators_bin_expectation(self, tmp_path):
+        # `--theory permanental:sigma=s` writes estimators.expected_pcf on the pcf's
+        # own bins, each value as its repr
+        batch, out = tmp_path / "batch.csv", tmp_path / "pcf.csv"
+        assert run(["sample", "--family", "permanental", "--scale", "25", "--reps", "20",
+                    "--seed", "1", "--out", str(batch)]) == 0
+        # exit 0 or 1, as the 20 replicates fall: only the column is checked
+        run(["pcf", "--batch", str(batch), "--bins", "9", "--rmax", "0.2",
+             "--theory", "permanental:sigma=0.05", "--out", str(out)])
+        rows = out.read_text().splitlines()[2:]
+        want = estimators.expected_pcf(np.linspace(0.0, 0.2, 10), 1.0, 0.05)
+        assert [row.split(",")[3] for row in rows] == [repr(float(g)) for g in want]
 
     def test_missing_batch(self, tmp_path, capsys):
         code = run([
@@ -335,6 +347,8 @@ class TestUserErrors:
         ["sample", "--family", "permanental", "--sigma", "nan"],
         ["sample", "--family", "permanental", "--sigma", "inf"],
         ["sample", "--family", "permanental", "--omega", "nan"],
+        ["sample", "--family", "permanental", "--omega", "inf"],
+        ["sample", "--family", "permanental", "--omega=-inf"],
         ["sample", "--family", "permanental", "--scale", "nan"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "-5"],
         ["sample", "--family", "fock", "--nodes-per-unit", "0"],
@@ -352,7 +366,11 @@ class TestUserErrors:
         ["sample", "--family", "fock", "--nodes-per-unit", "100000000000"],
         ["sample", "--family", "permanental", "--nodes-per-unit", "100000000000"],
         # the default grid, ceil(64 / sigma) = 6.4e7 cells on [0, 1], is above the cap
-        ["sample", "--family", "permanental", "--sigma", "1e-6", "--omega", "1e7"],
+        ["sample", "--family", "permanental", "--sigma", "1e-6"],
+        # 1e13 points, or 2 * scale = 2e15 expected points, a replicate: refused before
+        # any draw, not a numpy allocation error
+        ["sample", "--family", "fock", "--k", "10000000000000"],
+        ["sample", "--family", "permanental", "--scale", "1e15"],
         # float64 spacing 1.2e-4 at 1e12, against cells of 9.8e-4
         ["sample", "--family", "permanental", "--scale", "25", "--reps", "20",
          "--window", "1e12", "1000000000001"],
@@ -374,12 +392,14 @@ class TestUserErrors:
             "infinite-window-in-header", "lambdas-for-projection", "lambdas-for-poisson",
             "infinite-window", "gue-zero-modes", "gue-too-many-modes", "gue-zero-reps",
             "wick-zero-cases", "wick-negative-cases", "nan-sigma", "infinite-sigma",
-            "nan-omega", "nan-scale", "negative-nodes-per-unit",
+            "nan-omega", "infinite-omega", "negative-infinite-omega", "nan-scale",
+            "negative-nodes-per-unit",
             "zero-nodes-per-unit", "theory-zero-sigma", "nan-rmax", "negative-rmax",
             "batch-is-a-directory", "fock-zero-width", "fock-nan-width", "fock-nan-center",
             "fock-unresolved-envelope",
             "fock-too-many-cells", "permanental-too-many-cells",
-            "permanental-default-grid-too-many-cells", "permanental-far-window",
+            "permanental-default-grid-too-many-cells", "fock-too-many-points",
+            "permanental-too-many-points", "permanental-far-window",
             "poisson-far-window", "hermite-two-mode-counts", "hermite-unknown-key",
             "theory-unknown-key"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
@@ -456,6 +476,16 @@ class TestUserErrors:
                     "--out", str(out)]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
         assert not out.exists()
+
+    def test_default_grid_refusal_names_sigma_and_the_rule(self, tmp_path, capsys):
+        # no --nodes-per-unit was given: the error names sigma and the grid's rule
+        capsys.readouterr()
+        assert run(["sample", "--family", "permanental", "--sigma", "1e-6",
+                    "--out", str(tmp_path / "out.csv")]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert "sigma=1e-06" in report["error"]
+        assert "default grid of 64 cells per sigma" in report["error"]
+        assert report["config"]["nodes_per_unit"] == 64_000_000
 
     def test_mixture_eigenvalue_above_one(self, tmp_path, capsys):
         # refused when the kernel is built, with the configuration resolved so far
@@ -544,6 +574,27 @@ assert cli.main(["pcf", "--batch", f"{out}/permanental.csv",
                  "--theory", "permanental:sigma=0.1", "--out", f"{out}/pcf.csv"]) in (0, 1)
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
+
+
+def test_permanental_stderr_holds_only_the_error_line(tmp_path):
+    """A small sigma at the default carrier samples with nothing on stderr; one whose
+    default grid is above the cap prints the one JSON line and exits 2."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def sample(sigma):
+        return subprocess.run(
+            [sys.executable, "-m", "ppoptics.cli", "sample", "--family", "permanental",
+             "--sigma", sigma, "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True,
+        )
+
+    ok = sample("0.005")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    refused = sample("1e-6")
+    assert refused.returncode == 2
+    assert refused.stderr.count("\n") == 1
+    assert "error" in json.loads(refused.stderr)
 
 
 def test_sample_and_pcf_load_no_scipy(tmp_path):

@@ -29,11 +29,11 @@ class TestIntensity:
         assert np.all(stderr == 0)
 
     def test_permanental_intensity_is_scaled_diagonal(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
         scale, reps = 25.0, 3000
-        batch = samplers.sample_permanental_batch(cov, scale, Window(0, 1), reps, seed=2)
+        batch = samplers.sample_permanental_batch(0.1, scale, Window(0, 1), reps, seed=2)
         _, rate, stderr = estimators.estimate_intensity(batch, bins=5)
-        want = scale * cov.at_zero
+        # the covariance at zero lag is 2, the analytic signal's factor 2
+        want = scale * 2.0
         assert np.all(np.abs(rate - want) <= 4 * stderr)
 
     def test_inconsistent_windows_rejected(self):
@@ -53,8 +53,7 @@ class TestPcf:
 
     def test_permanental_tracks_closed_form(self):
         sigma = 0.1
-        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
-        batch = samplers.sample_permanental_batch(cov, 25.0, Window(0, 1), 8000, seed=4)
+        batch = samplers.sample_permanental_batch(sigma, 25.0, Window(0, 1), 8000, seed=4)
         est = estimators.estimate_pcf(batch)
         want = 1.0 + np.exp(-2 * est.r_mid / sigma)
         assert np.all(np.abs(est.g_hat - want) <= 4 * est.stderr)
@@ -90,6 +89,26 @@ class TestPcf:
         assert est.n_replicates == 200
 
 
+class TestExpectedPcf:
+    """The permanental bin expectation; `test_cli` checks it against quadrature."""
+
+    def test_narrow_bins_give_the_pointwise_form(self):
+        # bins 1e-3 sigma wide: the bin average is 1 + exp(-2r/sigma) at the midpoint
+        # up to the midpoint rule's (4 / sigma^2) h^2 / 24, about 2e-7
+        sigma = 0.1
+        edges = np.linspace(0.0, 0.5, 5001)
+        got = estimators.expected_pcf(edges, 2.0, sigma)
+        r_mid = 0.5 * (edges[:-1] + edges[1:])
+        np.testing.assert_allclose(got, 1.0 + np.exp(-2.0 * r_mid / sigma), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.1, 10.0])
+    def test_bunched_and_decreasing(self, sigma):
+        # 1 < g <= 2 for the permanental process, falling with the distance
+        got = estimators.expected_pcf(np.linspace(0.0, 0.05, 51), 1.0, sigma)
+        assert np.all((got > 1.0) & (got <= 2.0))
+        assert np.all(np.diff(got) < 0)
+
+
 class TestBinIndex:
     @pytest.mark.parametrize("edges", [
         np.linspace(0.0, 0.25, 51),  # the default pcf bins of a unit window
@@ -119,8 +138,7 @@ class TestCountStatistics:
         assert abs(stats["mean"] - 50.0) < 1.0
 
     def test_permanental_over_dispersed(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        batch = samplers.sample_permanental_batch(cov, 25.0, Window(0, 1), 2000, seed=11)
+        batch = samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), 2000, seed=11)
         assert estimators.count_statistics(batch)["fano"] > 1.5
 
     def test_projection_dpp_variance_exactly_zero(self):

@@ -6,30 +6,34 @@ import pytest
 from scipy.integrate import quad
 
 from ppoptics import gaussian_field as gf
-from ppoptics import kernels
+
+
+def lorentz_covariance(tau, sigma, omega):
+    """2 exp(-|tau|/sigma) e^{i omega tau}: the covariance of the analytic signal of
+    the Lorentz field, the factor 2 and the phase by Bedrosian's theorem."""
+    return 2.0 * np.exp(-np.abs(tau) / sigma) * np.exp(1j * omega * tau)
 
 
 class TestGrid:
     def test_sigma_resolution_enforced(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        gf._intensity_sampler(cov, 256, 0.1 / 4)
+        gf._intensity_sampler(0.1, 256, 0.1 / 4)
         with pytest.raises(ValueError, match=r"cell 0\.025641 .* sigma=0\.1: .* = 0\.025;"):
-            gf._intensity_sampler(cov, 256, 0.1 / 3.9)
+            gf._intensity_sampler(0.1, 256, 0.1 / 3.9)
 
 
 class TestComplexCircularGp:
     """The circular complex field of the analytic Lorentz covariance, as the draw makes it."""
 
     def setup_method(self):
-        self.cov = kernels.analytic_lorentz_kernel(0.5, 20.0)
+        self.sigma, self.omega = 0.5, 20.0
         self.n, self.dt = 512, 1 / 128
 
     def intensity(self, seed):
-        return gf._intensity_sampler(self.cov, self.n, self.dt)(np.random.default_rng(seed))
+        return gf._intensity_sampler(self.sigma, self.n, self.dt)(np.random.default_rng(seed))
 
     def test_pseudo_covariance_vanishes(self):
         # the envelope A the intensity is |A|^2 of: real parts, then imaginary parts
-        recursion = gf._ou_recursion(self.n, self.dt / self.cov.params["sigma"])
+        recursion = gf._ou_recursion(self.n, self.dt / self.sigma)
         reps = 10_000
         stats = np.empty(reps, dtype=complex)
         for s in range(reps):
@@ -52,8 +56,9 @@ class TestComplexCircularGp:
             v = self.intensity(s)
             acc += np.mean(v[:-k] * v[k:])
         got = acc / reps
-        c0 = self.cov.at_zero
-        ck = self.cov(k * self.dt)
+        # the analytic signal's factor 2: the covariance at zero lag
+        c0 = 2.0
+        ck = lorentz_covariance(k * self.dt, self.sigma, self.omega)
         want = c0**2 + abs(ck) ** 2
         assert got == pytest.approx(want, rel=0.05)
 
@@ -66,7 +71,6 @@ class TestComplexCircularGp:
         # to within the Bedrosian error.  quad's oscillatory rule degrades at larger
         # sigma * omega
         sigma, omega = 0.5, 40.0
-        cov = kernels.analytic_lorentz_kernel(sigma, omega)
         a = 1.0 / sigma
 
         def spectrum(nu):
@@ -77,7 +81,7 @@ class TestComplexCircularGp:
             im = quad(spectrum, 0.0, np.inf, weight="sin", wvar=tau)[0] / np.pi
             envelope = 2.0 * np.exp(-tau / sigma)
             assert abs(re - envelope * np.cos(omega * tau)) < 1e-9
-            assert abs(re + 1j * im - cov(tau)) <= 0.05 * envelope
+            assert abs(re + 1j * im - lorentz_covariance(tau, sigma, omega)) <= 0.05 * envelope
 
 
 class TestOrnsteinUhlenbeck:

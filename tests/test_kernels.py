@@ -7,53 +7,6 @@ from scipy.special import eval_hermite, factorial
 from ppoptics import kernels
 
 
-class TestLorentz:
-    """The parameters of the analytic Lorentz covariance, and one point of its closed form."""
-
-    def test_pure_envelope(self):
-        with pytest.warns(UserWarning, match="not well separated"):
-            cov = kernels.analytic_lorentz_kernel(1.0, 0.0)
-        assert cov(1.0) == pytest.approx(2.0 * np.exp(-1.0))
-
-    def test_formula_point(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        assert cov(0.05) == pytest.approx(2.0 * np.exp(-0.5) * np.exp(5.0j))
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            kernels.analytic_lorentz_kernel(0.0, 10.0)
-        with pytest.raises(ValueError):
-            kernels.analytic_lorentz_kernel(-1.0, 10.0)
-
-    @pytest.mark.parametrize("sigma, omega", [
-        (np.nan, 10.0), (np.inf, 10.0), (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf),
-    ])
-    def test_rejects_non_finite_parameters(self, sigma, omega):
-        with pytest.raises(ValueError, match="finite"):
-            kernels.analytic_lorentz_kernel(sigma, omega)
-
-
-class TestAnalyticLorentz:
-    def test_zero_lag_prefactor(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        assert cov(0.0) == pytest.approx(2.0)
-
-    def test_hermitian_symmetry(self):
-        cov = kernels.analytic_lorentz_kernel(0.3, 40.0)
-        tau = np.linspace(-2, 2, 101)
-        assert np.allclose(np.conj(cov(-tau)), cov(tau))
-
-    def test_modulus_is_envelope(self):
-        cov = kernels.analytic_lorentz_kernel(0.25, 30.0)
-        tau = np.linspace(0, 1, 50)
-        assert np.allclose(np.abs(cov(tau)) / cov.at_zero, np.exp(-tau / 0.25))
-
-    def test_pd_necessary_condition(self):
-        cov = kernels.analytic_lorentz_kernel(0.2, 50.0)
-        tau = np.linspace(-3, 3, 301)
-        assert np.all(cov.at_zero >= np.abs(cov(tau)) - 1e-12)
-
-
 class TestHermiteFunctions:
     def test_against_scipy_hermite_polynomials(self):
         x = np.linspace(-6, 6, 41)
@@ -148,32 +101,6 @@ class TestHermiteBasis:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="one basis function per eigenvalue"):
             kernels.SpectralKernel(np.ones(3), kernels.HermiteBasis(4), -1, kernels.Window(-5, 5))
-
-
-class TestTheoreticalPcf:
-    def test_coincidence(self):
-        assert kernels.theoretical_pcf(0.5, 0.5, 0.5, +1) == pytest.approx(2.0)
-        assert kernels.theoretical_pcf(0.5, 0.5, 0.5, -1) == pytest.approx(0.0)
-
-    def test_lorentz_permanental_form(self):
-        sigma = 0.1
-        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
-        r = np.linspace(0, 0.5, 20)
-        got = np.array([kernels.theoretical_pcf(cov(ri), 2.0, 2.0, +1) for ri in r])
-        assert np.allclose(got, 1.0 + np.exp(-2 * r / sigma))
-
-    def test_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            kxx, kyy = rng.uniform(0.1, 2.0, 2)
-            kxy = rng.standard_normal() + 1j * rng.standard_normal()
-            kxy *= np.sqrt(kxx * kyy) / max(1.0, abs(kxy))  # |K(x,y)|^2 <= Kxx Kyy
-            assert kernels.theoretical_pcf(kxy, kxx, kyy, +1) >= 1.0
-            assert 0.0 <= kernels.theoretical_pcf(kxy, kxx, kyy, -1) <= 1.0
-
-    def test_rejects_bad_diagonal(self):
-        with pytest.raises(ValueError):
-            kernels.theoretical_pcf(0.1, 0.0, 1.0, +1)
 
 
 class TestGramMatrix:

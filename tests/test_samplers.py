@@ -176,7 +176,7 @@ class TestPoisson:
         rate = lambda t: np.full_like(t, 5.0)
         with pytest.raises(ValueError, match="expected points"):
             samplers.sample_poisson_batch(rate, 5.0, Window(0, 1e9), 1, 0)
-        at_cap = samplers._POISSON_MAX_MEAN * (1 + 1e-9)
+        at_cap = samplers._MAX_MEAN_COUNT * (1 + 1e-9)
         with pytest.raises(ValueError, match="expected points"):
             samplers.sample_poisson_batch(rate, at_cap, Window(0, 1), 1, 0)
 
@@ -213,17 +213,17 @@ class TestCox:
 
 class TestPermanental:
     def test_intensity_matches_kernel_diagonal(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
         scale, reps = 25.0, 2000
-        batch = samplers.sample_permanental_batch(cov, scale, Window(0, 1), reps, seed=3)
+        batch = samplers.sample_permanental_batch(0.1, scale, Window(0, 1), reps, seed=3)
         counts = batch_counts(batch)
-        want = scale * cov.at_zero  # = 50
+        # the kernel diagonal: scale times the covariance at zero lag, 2 (the analytic
+        # signal's factor 2)
+        want = scale * 2.0  # = 50
         stderr = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - want) < 3 * stderr
 
     def test_over_dispersion(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
-        batch = samplers.sample_permanental_batch(cov, 25.0, Window(0, 1), 2000, seed=4)
+        batch = samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), 2000, seed=4)
         counts = batch_counts(batch)
         fano = counts.var(ddof=1) / counts.mean()
         assert fano > 1.5  # Cox bunching; theory ~6 here
@@ -233,11 +233,11 @@ class TestPermanental:
         # Var N = E N + scale^2 int int |C(x - y)|^2 dx dy on [0, L] (Isserlis), with
         # |C|^2 = 4 exp(-2|tau|/sigma): Fano = 1 + 4.75 = 5.75 at scale 25, sigma 0.1, L 1
         sigma, scale, length, reps = 0.1, 25.0, 1.0, 2000
-        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
         a = 2.0 / sigma
         pair_integral = 4.0 * (2.0 * length / a - 2.0 * -np.expm1(-a * length) / a**2)
-        want = 1.0 + scale * pair_integral / (cov.at_zero * length)
-        batch = samplers.sample_permanental_batch(cov, scale, Window(0, length), reps, seed)
+        # C(0) = 2, the analytic signal's factor 2
+        want = 1.0 + scale * pair_integral / (2.0 * length)
+        batch = samplers.sample_permanental_batch(sigma, scale, Window(0, length), reps, seed)
         fanos = [b.var(ddof=1) / b.mean() for b in np.array_split(batch_counts(batch), 20)]
         stderr = np.std(fanos, ddof=1) / np.sqrt(len(fanos))
         assert abs(np.mean(fanos) - want) < 4 * stderr
@@ -245,12 +245,12 @@ class TestPermanental:
     @pytest.mark.parametrize("length", [0.25, 0.3])
     def test_short_window_intensity(self, length):
         # the field covers the window only, here a grid at the 1024-cell floor
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
         scale, reps = 25.0, 2000
-        batch = samplers.sample_permanental_batch(cov, scale, Window(0, length), reps, seed=7)
+        batch = samplers.sample_permanental_batch(0.1, scale, Window(0, length), reps, seed=7)
         counts = batch_counts(batch)
         stderr = counts.std(ddof=1) / np.sqrt(reps)
-        assert abs(counts.mean() - scale * cov.at_zero * length) < 3 * stderr
+        # C(0) = 2, the analytic signal's factor 2
+        assert abs(counts.mean() - scale * 2.0 * length) < 3 * stderr
 
     @pytest.mark.parametrize("seed, reps, window", [
         *(pytest.param(seed, 9, (0.5, 1.25), id=str(seed)) for seed in range(3)),
@@ -262,7 +262,6 @@ class TestPermanental:
         # each replicate: the AR(1) envelope from its own child generator, real parts
         # then imaginary parts, then sample_cox on |A|^2 with the same generator
         sigma = 0.1
-        cov = kernels.analytic_lorentz_kernel(sigma, 100.0)
         w = Window(*window)
         grid = CellGrid(w, 2048)
         rho = np.exp(-grid.cell / sigma)
@@ -276,32 +275,44 @@ class TestPermanental:
             for k in range(1, grid.n):
                 a[:, k] = rho * a[:, k - 1] + innovation * x[:, k]
             want.append(samplers.sample_cox(a[0] ** 2 + a[1] ** 2, grid, 40.0, rng))
-        got = samplers.sample_permanental_batch(cov, 40.0, w, reps, seed, nodes_per_unit=2048)
+        got = samplers.sample_permanental_batch(sigma, 40.0, w, reps, seed, nodes_per_unit=2048)
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("name", ["gaussian", None])
-    def test_other_covariances_refused(self, name):
-        # a Gaussian envelope is not Markov: the AR(1) draw cannot take it
-        def c0(tau):
-            return 2.0 * np.exp(-0.5 * (tau / 0.05) ** 2) * np.exp(100j * tau)
-
-        params = {"name": name, "sigma": 0.05, "omega": 100.0} if name else {}
-        cov = kernels.StationaryCovariance(c0, params)
-        with pytest.raises(ValueError, match="analytic Lorentz covariance only"):
-            samplers.sample_permanental_batch(cov, 40.0, Window(0, 1), 2, 0)
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_sigma_refused(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            samplers.permanental_nodes_per_unit(sigma)
+        # refused at an explicit grid too, before any draw
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            samplers.sample_permanental_batch(sigma, 25.0, Window(0, 1), 2, 0, nodes_per_unit=2048)
 
     def test_negative_scale_rejected(self):
-        cov = kernels.analytic_lorentz_kernel(0.1, 100.0)
         with pytest.raises(ValueError, match="scale"):
-            samplers.sample_permanental_batch(cov, -1.0, Window(0, 1), 2, 0)
+            samplers.sample_permanental_batch(0.1, -1.0, Window(0, 1), 2, 0)
 
     def test_default_grid_of_a_subnormal_sigma_refused(self):
         # 64 / sigma overflows to inf: no grid density, and a ValueError, not an OverflowError
-        with pytest.warns(UserWarning, match="carrier"):
-            cov = kernels.analytic_lorentz_kernel(1e-320, 1e300)
         with pytest.raises(ValueError, match="nodes per unit"):
-            samplers.permanental_nodes_per_unit(cov)
+            samplers.permanental_nodes_per_unit(1e-320)
+
+    def test_default_grid_above_the_cap_names_sigma_and_the_rule(self):
+        # ceil(64 / 1e-6) = 6.4e7 nodes per unit on [0, 1], above the 2^24-cell cap
+        with pytest.raises(ValueError, match=r"sigma=1e-06 .* 6\.4e\+07 cells at the default "
+                                             r"grid of 64 cells per sigma"):
+            samplers.sample_permanental_batch(1e-6, 1.0, Window(0, 1), 2, 0)
+
+    def test_mean_count_cap_refused_before_drawing(self, monkeypatch):
+        # 2 * scale * length = 2e15 expected points: nothing may be drawn
+        def no_draw(seed, reps):
+            raise AssertionError("drew before checking the mean count")
+
+        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        with pytest.raises(ValueError, match="expected points"):
+            samplers.sample_permanental_batch(0.1, 1e15, Window(0, 1), 1, 0)
+        at_cap = samplers._MAX_MEAN_COUNT / 2 * (1 + 1e-9)
+        with pytest.raises(ValueError, match="expected points"):
+            samplers.sample_permanental_batch(0.1, at_cap, Window(0, 1), 1, 0)
 
 
 class TestProjectionDpp:
@@ -621,6 +632,16 @@ class TestFockPp:
     def test_zero_mass_error(self):
         with pytest.raises(ValueError, match="zero total mass"):
             samplers.sample_fock_pp_batch(lambda t: np.zeros_like(t), 3, Window(0, 1), 1, 0)
+
+    def test_point_count_cap_refused_before_drawing(self, monkeypatch):
+        # 1e13 points a replicate would need about 80 TB: nothing may be drawn
+        def no_draw(seed, reps):
+            raise AssertionError("drew before checking the point count")
+
+        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        for k in (10**13, int(samplers._MAX_MEAN_COUNT) + 1):
+            with pytest.raises(ValueError, match="points per replicate"):
+                samplers.sample_fock_pp_batch(np.ones_like, k, Window(0, 1), 1, 0)
 
     @pytest.mark.parametrize("std, share", [(1e-5, 0.5), (8e-4, 0.12), (1.2e-3, None), (3e-3, None)])
     def test_unresolved_envelope_refused(self, std, share):
