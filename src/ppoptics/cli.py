@@ -146,6 +146,7 @@ def cmd_pcf(args, config: dict) -> int:
     batch, meta = samplers.load_batch_csv(batch_path)
     if not batch:
         raise ValueError(f"batch file {batch_path} has no replicates")
+    estimators.check_pcf_bins(args.bins, len(batch))
     length = samplers.batch_window(batch).length
     rmax = args.rmax or length / 4.0
     est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))

@@ -19,6 +19,7 @@ with array edges: [e_m, e_m+1), the last bin closed on the right; values
 outside [e_0, e_last] are not counted, and decreasing edges raise
 ValueError.
 
+`check_pcf_bins` caps the (replicates, bins) table of pair counts.
 `expected_pcf` is the theory side: what `estimate_pcf` expects in each bin
 for the Lorentz-line permanental process, in closed form.
 """
@@ -29,6 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import batch_window
+
+# most entries of the (replicates, bins) pair-count table of `estimate_pcf`, which
+# peaks at about 17 bytes per entry: about 270 MiB at the limit
+_MAX_PCF_COUNTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,16 @@ def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
     return counts.reshape(reps, -1)
 
 
+def check_pcf_bins(bins: int, reps: int):
+    """Refuse a pair-count table of `bins` bins for `reps` replicates above
+    _MAX_PCF_COUNTS entries, before any edge or count is allocated."""
+    if bins * reps > _MAX_PCF_COUNTS:
+        raise ValueError(
+            f"{bins} bins x {reps} replicates = {bins * reps} pair counts, above the "
+            f"limit of {_MAX_PCF_COUNTS}"
+        )
+
+
 def estimate_intensity(batch, bins=20):
     """Per-bin rate estimate with stderr across replicates.
 
@@ -171,6 +186,7 @@ def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
         raise ValueError("bins extend beyond the window length")
     length = w.length
     reps = len(batch)
+    check_pcf_bins(edges.size - 1, reps)
 
     flat, rid = _flat_points(batch)
     counts = _pair_counts(flat, rid, edges, reps).astype(float)

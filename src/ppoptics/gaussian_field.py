@@ -5,8 +5,9 @@ The field is e^{i omega t} A(t) with A a complex Ornstein-Uhlenbeck process,
 so |E|^2 = |A|^2 depends on the envelope time sigma alone, never on the
 carrier omega (Macchi 1975).  `_intensity_sampler(sigma, n, dt)` draws it by
 the exact AR(1) recursion of A (Gillespie 1996), on a grid that must resolve
-sigma.  When no grid density is given, `permanental_nodes_per_unit` sets it
-from sigma.  `check_sigma` is the one check of sigma.
+sigma, for a block of generators at once.  When no grid density is given,
+`permanental_nodes_per_unit` sets it from sigma.  `check_sigma` is the one
+check of sigma.
 """
 
 import math
@@ -98,12 +99,14 @@ def permanental_nodes_per_unit(sigma: float) -> int:
 
 
 def _intensity_sampler(sigma: float, n: int, dt: float):
-    """A draw `rng -> |E|^2 = |A|^2` of the field of envelope time sigma on n
-    nodes spaced dt.
+    """A draw `rngs -> |E|^2 = |A|^2` of the field of envelope time sigma on n
+    nodes spaced dt: one row of the (len(rngs), n) result per generator.
 
-    A is the exact AR(1) recursion at the nodes (Gillespie 1996), from the 2n
-    normals rng.standard_normal((2, n)), real parts then imaginary parts, each
-    of unit variance.  A grid whose cell dt exceeds sigma / 4 is refused.
+    A is the exact AR(1) recursion at the nodes (Gillespie 1996).  Each
+    generator fills its own (2, n) normals, the values of
+    rng.standard_normal((2, n)), real parts then imaginary parts, each of unit
+    variance; one recursion then runs over the whole block.  A grid whose cell
+    dt exceeds sigma / 4 is refused.
     """
     bound = _MAX_CELL_PER_SIGMA * sigma
     if not dt <= bound:
@@ -113,8 +116,15 @@ def _intensity_sampler(sigma: float, n: int, dt: float):
         )
     recursion = _ou_recursion(n, dt / sigma)
 
-    def draw(rng):
-        a = recursion(rng.standard_normal((2, n)))
-        return a[0] ** 2 + a[1] ** 2
+    def normals(rngs):
+        x = np.empty((len(rngs), 2, n))
+        for rng, row in zip(rngs, x):
+            rng.standard_normal(out=row)
+        return x
+
+    def draw(rngs):
+        # the normals are freed once the recursion has read them
+        a = recursion(normals(rngs))
+        return a[:, 0] ** 2 + a[:, 1] ** 2
 
     return draw

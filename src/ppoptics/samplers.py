@@ -5,15 +5,22 @@ The sampler API is batch-only: each family has one `sample_*_batch`
 function, and a single draw is `reps=1`.  Every batch is deterministic
 given its seed: Poisson, permanental and fixed-count replicates each use
 an independently spawned child seed, and the determinantal sampler one
-per block of replicates.  `sample_cox` is the exception: it draws once on
-a given intensity path, from a seed or a `Generator`.
+per block of replicates.  No batch holds more than _MAX_REPLICATES
+replicates.  `sample_cox` is the exception: it draws once on a given
+intensity path, from a seed or a `Generator`.
 
 A permanental replicate is a draw of |E+|^2, the squared modulus of the
-Lorentz-line complex Gaussian field, followed by `sample_cox` on it, both
-from the replicate's own child generator.  Its law depends on the envelope
-time sigma alone, so sigma is the sampler's parameter: the intensity is
-drawn by the exact AR(1) recursion of the field's envelope, on a grid
-whose cell resolves sigma.
+Lorentz-line complex Gaussian field, followed by the Cox step of
+`sample_cox` on it, both from the replicate's own child generator.  Its
+law depends on the envelope time sigma alone, so sigma is the sampler's
+parameter: the intensity is drawn by the exact AR(1) recursion of the
+field's envelope, on a grid whose cell resolves sigma.  The batch runs
+blocks of replicates in lockstep: one recursion over the block's normals
+and one pass of cell masses, totals and cumulative sums, then each
+replicate's count and points.  Each replicate still fills its normals and
+draws its count and points from its own child generator, in the order a
+lone replicate would, so the block size (a private byte budget) never
+changes the sample.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell).  The
@@ -65,6 +72,19 @@ _POISSON_MAX_MERGED = 1e-6
 # most cells of one CellGrid: 128 MiB of centers, and a sampler holds a few
 # arrays of that length
 _GRID_MAX_CELLS = 2**24
+# most replicates of one batch, sampled or loaded.  An empty replicate loaded from a
+# batch file holds about 320 bytes (460 at the load's peak), so this many take about
+# 0.5 GiB; a sampled replicate's child generator takes about 1 KB more
+_MAX_REPLICATES = 2**20
+# the chain's direction array and per-round gathers stay within about this many
+# bytes per block of replicates
+_CHAIN_BLOCK_BYTES = 16 * 2**20
+# the permanental normals of one block of replicates stay within this many bytes,
+# 16 per cell and replicate; a grid above it runs one replicate per block.  The
+# median draw of 250 replicates on 1024 cells (40 interleaved runs, one Xeon core)
+# took 27.2, 25.6, 25.6, 26.4, 27.1, 28.5 and 29.8 ms at 64, 128, 256 and 512 KiB
+# and 1, 2 and 8 MiB, against 35.1 ms one replicate at a time
+_PERMANENTAL_BLOCK_BYTES = 256 * 2**10
 
 
 class RankLossError(RuntimeError):
@@ -132,6 +152,12 @@ def batch_window(batch) -> Window:
     return w
 
 
+def _check_replicates(reps: int):
+    """Refuse more than _MAX_REPLICATES replicates, before anything is drawn."""
+    if reps > _MAX_REPLICATES:
+        raise ValueError(f"{reps} replicates, above the limit of {_MAX_REPLICATES}")
+
+
 def _child_rngs(seed, reps: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(reps)]
 
@@ -173,6 +199,7 @@ def _draw_cells(cdf, total, k: int, grid: CellGrid, rng) -> PointConfiguration:
 
 def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process."""
+    _check_replicates(reps)
     if rate_max <= 0:
         raise ValueError(f"rate_max must be positive, got {rate_max}")
     if not rate_max * w.length <= _MAX_MEAN_COUNT:
@@ -212,8 +239,9 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
 def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfiguration:
     """Poisson sample on grid.window conditional on a realized intensity path.
 
-    `intensity` is the nonnegative path (e.g. |E+|^2) on the grid cells,
-    piecewise constant; the rate is scale * intensity.
+    `intensity` is the finite, nonnegative path (e.g. |E+|^2) on the grid
+    cells, piecewise constant; the rate is scale * intensity.  An expected
+    count scale * sum(intensity) * cell above _MAX_MEAN_COUNT is refused.
     `seed` is a seed or a `Generator`, which is drawn from in place.
     """
     rng = np.random.default_rng(seed)
@@ -222,10 +250,18 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
         raise ValueError(f"scale must be nonnegative, got {scale}")
     if intensity.shape != (grid.n,):
         raise ValueError("intensity path must live on the grid")
+    if not np.isfinite(intensity).all():
+        raise ValueError("intensity path must be finite")
     if np.any(intensity < 0):
         raise ValueError("intensity path must be nonnegative")
     masses = scale * intensity * grid.cell
     total = masses.sum()
+    # an infinite scale or an overflowing mass fails this too
+    if not total <= _MAX_MEAN_COUNT:
+        raise ValueError(
+            f"scale * intensity mass = {total:g} expected points, above the limit of "
+            f"{_MAX_MEAN_COUNT:g}"
+        )
     return _draw_cells(np.cumsum(masses), total, rng.poisson(total), grid, rng)
 
 
@@ -241,12 +277,17 @@ def sample_permanental_batch(
 
     Each replicate draws |E+|^2 of the circularly-symmetric complex Gaussian
     field at the window's cell centers, by the AR(1) recursion of its
-    envelope, then runs `sample_cox` at rate scale * |E+|^2, both on its own
-    child generator.  The grid density defaults to
-    `permanental_nodes_per_unit(sigma)`.  A sigma that is not finite and
-    positive, an expected count 2 * scale * window length above
-    _MAX_MEAN_COUNT and a grid whose cell exceeds sigma / 4 raise ValueError.
+    envelope, then the Cox step at rate scale * |E+|^2 (what `sample_cox`
+    does), both on its own child generator.  Replicates run in blocks sized
+    by `_PERMANENTAL_BLOCK_BYTES`: one recursion and one pass of cell masses
+    per block, then each replicate's count and points from its own
+    generator, which is drawn from in the order of a lone replicate.  The
+    grid density defaults to `permanental_nodes_per_unit(sigma)`.  More than
+    _MAX_REPLICATES replicates, a sigma that is not finite and positive, an
+    expected count 2 * scale * window length above _MAX_MEAN_COUNT and a
+    grid whose cell exceeds sigma / 4 raise ValueError.
     """
+    _check_replicates(reps)
     check_sigma(sigma)
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
@@ -269,16 +310,28 @@ def sample_permanental_batch(
             )
     grid = CellGrid(w, nodes_per_unit)
     draw = _intensity_sampler(sigma, grid.n, grid.cell)
-    return [sample_cox(draw(rng), grid, scale, rng) for rng in _child_rngs(seed, reps)]
+    block = max(1, _PERMANENTAL_BLOCK_BYTES // (16 * grid.n))
+    rngs = _child_rngs(seed, reps)
+    out = []
+    for start in range(0, reps, block):
+        chunk = rngs[start:start + block]
+        # the masses scale * |E+|^2 * cell, in place and in that order
+        masses = draw(chunk)
+        masses *= scale
+        masses *= grid.cell
+        totals = masses.sum(axis=1)
+        np.cumsum(masses, axis=1, out=masses)
+        out += [_draw_cells(cdf, total, rng.poisson(total), grid, rng)
+                for rng, cdf, total in zip(chunk, masses, totals)]
+        # freed before the next block's draw, so that the two never coexist
+        del masses
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Determinantal (the Bernoulli mixture over projections, one sequential chain)
 
 
-# the chain's direction array and per-round gathers stay within about this many
-# bytes per block of replicates
-_CHAIN_BLOCK_BYTES = 16 * 2**20
 # proposals a replicate may use for one point before it counts as stuck
 _MAX_TRIES = 2000
 
@@ -463,6 +516,7 @@ def sample_dpp_mixture_batch(
     lambda 0 or 1) keeps the same functions in every replicate, so each
     sample has exactly as many points as it has unit eigenvalues.
     """
+    _check_replicates(reps)
     if kernel.eta != -1:
         raise ValueError("the Bernoulli mixture construction is determinantal (eta=-1)")
     grid = CellGrid(kernel.window, nodes_per_unit)
@@ -489,6 +543,7 @@ def sample_fock_pp_batch(
     where one cell holds more than `_FOCK_MAX_CELL_SHARE` of the mass:
     the grid then does not resolve the envelope.
     """
+    _check_replicates(reps)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if k > _MAX_MEAN_COUNT:
@@ -587,6 +642,9 @@ def load_batch_csv(path):
     # not isinstance: a JSON true loads as a bool, which is an int
     if type(n) is not int or n < 0:
         raise ValueError(f"{path}: n_replicates must be a nonnegative integer, got {n!r}")
+    # before the rows are parsed or grouped into n replicates
+    if n > _MAX_REPLICATES:
+        raise ValueError(f"{path}: n_replicates = {n}, above the limit of {_MAX_REPLICATES}")
     ids, points = _parse_rows(path, lines, n)
     ends = np.bincount(ids, minlength=n).cumsum()
     # n + 1 pieces, the last one empty: every id is below n

@@ -284,6 +284,7 @@ class TestUserErrors:
                 "no_window": ({"n_replicates": 1}, ["0,0.25"]),
                 "count_not_int": ({"n_replicates": "2", "window": window}, ["0,0.25"]),
                 "count_bool": ({"n_replicates": True, "window": window}, ["0,0.25"]),
+                "count_huge": ({"n_replicates": 10**13, "window": window}, ["0,0.25"]),
                 "one_field": ({"n_replicates": 2, "window": window}, ["0,0.25", "1"]),
                 "blank_line": ({"n_replicates": 1, "window": window}, ["0,0.25", "", "0,0.5"]),
                 "nan_point": ({"n_replicates": 1, "window": window}, ["0,nan"]),
@@ -319,6 +320,8 @@ class TestUserErrors:
          "--nodes-per-unit", "256"],
         ["pcf", "--batch", "{batch}", "--rmax", "2"],
         ["pcf", "--batch", "{batch}", "--bins", "0"],
+        # 5 replicates x 1e11 bins: refused before np.linspace builds the edges
+        ["pcf", "--batch", "{batch}", "--bins", "100000000000"],
         ["pcf", "--batch", "{batch}", "--theory", "bogus"],
         ["pcf", "--batch", "{batch}", "--theory", "permanental"],
         ["pcf", "--batch", "{empty}"],
@@ -328,6 +331,8 @@ class TestUserErrors:
         ["pcf", "--batch", "{no_window}"],
         ["pcf", "--batch", "{count_not_int}"],
         ["pcf", "--batch", "{count_bool}"],
+        # refused before np.bincount(minlength=n_replicates) allocates 80 TB
+        ["pcf", "--batch", "{count_huge}"],
         ["pcf", "--batch", "{one_field}"],
         ["pcf", "--batch", "{blank_line}"],
         ["pcf", "--batch", "{nan_point}"],
@@ -384,10 +389,11 @@ class TestUserErrors:
         ["pcf", "--batch", "{batch}", "--theory", "permanental:sigma=0.1,sgima=5"],
     ], ids=["reversed-window", "permanental-unresolved-sigma", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
-            "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "unknown-theory",
+            "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "too-many-bins", "unknown-theory",
             "theory-without-sigma", "all-empty-batch", "zero-replicates",
             "replicate-id-too-large", "replicate-id-negative", "header-without-window",
-            "replicate-count-not-int", "replicate-count-bool", "row-with-one-field",
+            "replicate-count-not-int", "replicate-count-bool", "replicate-count-too-large",
+            "row-with-one-field",
             "blank-row", "nan-point", "row-with-three-fields", "replicate-id-not-int",
             "infinite-window-in-header", "lambdas-for-projection", "lambdas-for-poisson",
             "infinite-window", "gue-zero-modes", "gue-too-many-modes", "gue-zero-reps",
@@ -475,6 +481,21 @@ class TestUserErrors:
         assert run(["sample", "--family", "poisson", "--rate", "5", "--window", "0", "1e9",
                     "--out", str(out)]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", [["poisson", "--rate", "5"], ["permanental"]],
+                             ids=["poisson", "permanental"])
+    def test_replicate_cap_refused_before_drawing(self, family, tmp_path, capsys, monkeypatch):
+        # 1e13 child generators would need about 10 PB: refused before any is spawned
+        def no_draw(seed, reps):
+            raise AssertionError("spawned before checking the replicate count")
+
+        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(["sample", "--family", *family, "--reps", "10000000000000",
+                    "--out", str(out)]) == 2
+        assert "above the limit" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
 
     def test_default_grid_refusal_names_sigma_and_the_rule(self, tmp_path, capsys):

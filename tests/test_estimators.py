@@ -81,6 +81,15 @@ class TestPcf:
         with pytest.raises(ValueError, match="beyond"):
             estimators.estimate_pcf(batch, np.linspace(0, 2.0, 5))
 
+    def test_count_table_cap_on_explicit_edges(self, monkeypatch):
+        # a cap of 100 counts: 10 replicates fill it at 10 bins and pass it at 11
+        monkeypatch.setattr(estimators, "_MAX_PCF_COUNTS", 100)
+        batch = poisson_batch(10.0, 10, seed=8)
+        assert estimators.estimate_pcf(batch, np.linspace(0, 0.25, 11)).g_hat.size == 10
+        with pytest.raises(ValueError, match="11 bins x 10 replicates = 110 pair counts, "
+                                             "above the limit of 100"):
+            estimators.estimate_pcf(batch, np.linspace(0, 0.25, 12))
+
     def test_estimate_is_nonnegative_and_sized(self):
         batch = poisson_batch(20.0, 200, seed=9)
         est = estimators.estimate_pcf(batch)

@@ -16,7 +16,10 @@ def lorentz_covariance(tau, sigma, omega):
 
 class TestGrid:
     def test_sigma_resolution_enforced(self):
-        gf._intensity_sampler(0.1, 256, 0.1 / 4)
+        draw = gf._intensity_sampler(0.1, 256, 0.1 / 4)
+        # one row of intensities per generator
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        assert draw(rngs).shape == (3, 256)
         with pytest.raises(ValueError, match=r"cell 0\.025641 .* sigma=0\.1: .* = 0\.025;"):
             gf._intensity_sampler(0.1, 256, 0.1 / 3.9)
 
@@ -29,7 +32,8 @@ class TestComplexCircularGp:
         self.n, self.dt = 512, 1 / 128
 
     def intensity(self, seed):
-        return gf._intensity_sampler(self.sigma, self.n, self.dt)(np.random.default_rng(seed))
+        (row,) = gf._intensity_sampler(self.sigma, self.n, self.dt)([np.random.default_rng(seed)])
+        return row
 
     def test_pseudo_covariance_vanishes(self):
         # the envelope A the intensity is |A|^2 of: real parts, then imaginary parts

@@ -21,6 +21,12 @@ def batch_counts(batch):
     return np.array([len(c) for c in batch], dtype=float)
 
 
+def lockstep_block(cells):
+    """Replicates per lockstep block of the permanental batch on `cells` cells:
+    its normals, 16 bytes per cell, within the block budget."""
+    return samplers._PERMANENTAL_BLOCK_BYTES // (16 * cells)
+
+
 def assert_simple_sorted(config):
     assert np.all(np.diff(config.points) > 0)
     if len(config):
@@ -210,6 +216,23 @@ class TestCox:
         with pytest.raises(ValueError, match="scale"):
             samplers.sample_cox(np.ones(grid.n), grid, np.nan, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_path_rejected(self, bad):
+        grid = CellGrid(Window(0, 1), 1024)
+        path = np.ones(grid.n)
+        path[17] = bad
+        with pytest.raises(ValueError, match="intensity path must be finite"):
+            samplers.sample_cox(path, grid, 1.0, 0)
+
+    @pytest.mark.parametrize("scale", [1e12, samplers._MAX_MEAN_COUNT * (1 + 1e-9), np.inf],
+                             ids=["1e12", "just-over", "inf"])
+    def test_mean_count_cap(self, scale):
+        # 1e12 expected points would need 7.28 TiB of uniforms; an infinite scale
+        # has no count at all
+        grid = CellGrid(Window(0, 1), 1024)
+        with pytest.raises(ValueError, match="expected points, above the limit"):
+            samplers.sample_cox(np.ones(grid.n), grid, scale, 0)
+
 
 class TestPermanental:
     def test_intensity_matches_kernel_diagonal(self):
@@ -252,18 +275,23 @@ class TestPermanental:
         # C(0) = 2, the analytic signal's factor 2
         assert abs(counts.mean() - scale * 2.0 * length) < 3 * stderr
 
-    @pytest.mark.parametrize("seed, reps, window", [
-        *(pytest.param(seed, 9, (0.5, 1.25), id=str(seed)) for seed in range(3)),
-        pytest.param(3, 1, (0.5, 1.25), id="one-replicate"),
+    @pytest.mark.parametrize("seed, reps, window, nodes_per_unit", [
+        *(pytest.param(seed, 9, (0.5, 1.25), 2048, id=str(seed)) for seed in range(3)),
+        pytest.param(3, 1, (0.5, 1.25), 2048, id="one-replicate"),
         # a grid at the 1024-cell floor: four blocks of 256 cells of the recursion
-        pytest.param(4, 9, (0.0, 0.25), id="doubled-embedding"),
+        pytest.param(4, 9, (0.0, 0.25), 2048, id="doubled-embedding"),
+        # 1536 cells: three full lockstep blocks and part of a fourth
+        pytest.param(5, 3 * lockstep_block(1536) + 3, (0.5, 1.25), 2048,
+                     id="three-blocks-and-a-part"),
+        # 24,576 cells, whose normals exceed the block budget: one replicate a block
+        pytest.param(6, 3, (0.5, 1.25), 32768, id="one-replicate-blocks"),
     ])
-    def test_matches_per_replicate_field_then_cox(self, seed, reps, window):
+    def test_matches_per_replicate_field_then_cox(self, seed, reps, window, nodes_per_unit):
         # each replicate: the AR(1) envelope from its own child generator, real parts
         # then imaginary parts, then sample_cox on |A|^2 with the same generator
         sigma = 0.1
         w = Window(*window)
-        grid = CellGrid(w, 2048)
+        grid = CellGrid(w, nodes_per_unit)
         rho = np.exp(-grid.cell / sigma)
         innovation = np.sqrt(1.0 - rho**2)
         want = []
@@ -275,7 +303,7 @@ class TestPermanental:
             for k in range(1, grid.n):
                 a[:, k] = rho * a[:, k - 1] + innovation * x[:, k]
             want.append(samplers.sample_cox(a[0] ** 2 + a[1] ** 2, grid, 40.0, rng))
-        got = samplers.sample_permanental_batch(sigma, 40.0, w, reps, seed, nodes_per_unit=2048)
+        got = samplers.sample_permanental_batch(sigma, 40.0, w, reps, seed, nodes_per_unit)
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
@@ -767,6 +795,14 @@ class TestSerialization:
             samplers.save_batch_csv(path, batch, {"seed": 0})
         assert not path.exists()
 
+    def test_load_refuses_too_many_replicates(self, tmp_path):
+        # refused before np.bincount(minlength=n) allocates 80 TB
+        path = tmp_path / "huge.csv"
+        header = json.dumps({"n_replicates": 10**13, "window": [0.0, 1.0]})
+        path.write_text(f"# ppoptics-batch {header}\nreplicate_id,t\n0,0.5\n")
+        with pytest.raises(ValueError, match=r"n_replicates = 10000000000000, above the limit"):
+            samplers.load_batch_csv(path)
+
     def test_load_without_replicates(self, tmp_path):
         path = tmp_path / "none.csv"
         header = json.dumps({"n_replicates": 0, "window": [0.0, 1.0]})
@@ -804,3 +840,22 @@ class TestSerialization:
         for got, want in zip(back, batch):
             assert got.window == w
             assert np.array_equal(got.points, want.points)
+
+
+@pytest.mark.parametrize("family", ["poisson", "permanental", "dpp-mixture", "fock"])
+@pytest.mark.parametrize("reps", [10**13, samplers._MAX_REPLICATES + 1])
+def test_replicate_cap_refused_before_drawing(family, reps, monkeypatch):
+    # every child generator would be spawned up front: nothing may be drawn
+    def no_draw(seed, reps):
+        raise AssertionError("spawned before checking the replicate count")
+
+    monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+    sample = {
+        "poisson": lambda: samplers.sample_poisson_batch(np.ones_like, 1.0, Window(0, 1), reps, 0),
+        "permanental": lambda: samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), reps, 0),
+        "dpp-mixture": lambda: samplers.sample_dpp_mixture_batch(
+            kernels.hermite_projection_kernel(3), reps, 0),
+        "fock": lambda: samplers.sample_fock_pp_batch(np.ones_like, 3, Window(0, 1), reps, 0),
+    }[family]
+    with pytest.raises(ValueError, match=f"{reps} replicates, above the limit"):
+        sample()
