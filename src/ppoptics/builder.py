@@ -3,9 +3,12 @@ energy levels and back.
 
 The mean occupation 1/(e^{beta(nu-zeta)} - eta) maps levels to kernel
 eigenvalues; inverting it realizes any admissible spectrum as a free-
-particle thermal state.  Includes the zero-temperature (projection)
-limit and measurement-basis rotations on discrete ground sets.  Spectra
-are plain arrays; `SpectralKernel` checks that one defines a process.
+particle thermal state.  The fermionic endpoints {0, 1}, a projection,
+are reached only as beta -> infinity: `verify builder` checks that the
+induced kernel at beta = 1e3 is the Hermite projection kernel.  The
+module also rotates the measurement basis on discrete ground sets.
+Spectra are plain arrays; `SpectralKernel` checks that one defines a
+process.
 """
 
 from dataclasses import dataclass
@@ -70,16 +73,6 @@ def spectrum_to_levels(
         raise ValueError("fermionic target eigenvalues must lie in (0, 1) (1 only as a limit)")
     x = np.log1p(eta * lam) - np.log(lam)
     return GrandCanonicalSpec(beta, zeta, zeta + x / beta, eta)
-
-
-def zero_temperature_spectrum(nu, zeta: float) -> np.ndarray:
-    """Fermionic beta -> infinity limit: fill every level below zeta.
-
-    Endpoint eigenvalues {0, 1} are only reachable through this limit;
-    the finite-beta inversion is singular there.
-    """
-    nu = np.asarray(nu, dtype=float)
-    return np.where(nu < zeta, 1.0, 0.0)
 
 
 def log_partition_function(spec: GrandCanonicalSpec) -> float:

@@ -1,12 +1,11 @@
-"""Empirical intensity, pair-correlation, and count statistics from
-batches of point configurations.
+"""Empirical pair correlation of batches of point configurations.
 
 The pair-correlation estimator histograms ordered pairwise distances
 and normalizes by the analytic value of the same statistic for a
 Poisson process of the batch's mean intensity on the same interval,
 with the rectangular-window edge factor (b - a - r) per bin.
 
-Both histograms run over the whole batch at once.  The points of every
+The pair histogram runs over the whole batch at once.  The points of every
 replicate are laid end to end in one array, each replicate's strictly
 increasing points followed by one +inf, with a replicate index per entry.
 The pair count sweeps the lag k = 1, 2, ...: the distances
@@ -41,7 +40,6 @@ class PcfEstimate:
     bin_edges: np.ndarray
     g_hat: np.ndarray
     stderr: np.ndarray
-    n_replicates: int
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -109,23 +107,6 @@ def _bin_index(edges):
     return index
 
 
-def _binned(values, base, edges, reps: int, index) -> np.ndarray:
-    """Counts of `values` per (replicate, bin), flat of length reps * bins, with
-    the bins of `np.histogram`: [e_m, e_m+1), the last one closed on the right.
-    `base` is each value's replicate index times the number of bins, and
-    `index` is `_bin_index(edges)`."""
-    b = index(values)
-    # b is 0 below the first edge; values above the last edge are not counted.
-    # The mask is built only when needed (never for pair distances and a first
-    # edge <= 0): masks on every lag raised the thermal peak RSS by about 1 MiB
-    if b.min(initial=1) == 0 or values.max(initial=-np.inf) > edges[-1]:
-        inside = (b > 0) & (values <= edges[-1])
-        b, base = b[inside], base[inside]
-    b += base
-    b -= 1
-    return np.bincount(b, minlength=reps * (edges.size - 1))
-
-
 def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
     """(reps, bins) counts of the distances between the points of each replicate
     in the layout of `_flat_points`, one lag k at a time.
@@ -143,7 +124,16 @@ def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
         d -= flat[i]
         near = d <= edges[-1]
         i = i[near]
-        counts += _binned(d[near], base[i], edges, reps, index)
+        b, base_i = index(d[near]), base[i]
+        # b is 0 below the first edge.  The mask is built only then (never for a
+        # first edge <= 0): masks on every lag raised the thermal peak RSS by
+        # about 1 MiB
+        if b.min(initial=1) == 0:
+            inside = b > 0
+            b, base_i = b[inside], base_i[inside]
+        b += base_i
+        b -= 1
+        counts += np.bincount(b, minlength=counts.size)
         k += 1
     return counts.reshape(reps, -1)
 
@@ -156,23 +146,6 @@ def check_pcf_bins(bins: int, reps: int):
             f"{bins} bins x {reps} replicates = {bins * reps} pair counts, above the "
             f"limit of {_MAX_PCF_COUNTS}"
         )
-
-
-def estimate_intensity(batch, bins=20):
-    """Per-bin rate estimate with stderr across replicates.
-
-    Returns (bin_edges, rate, stderr); `bins` is a count or explicit edges.
-    """
-    w = batch_window(batch)
-    edges = _bin_edges(np.linspace(w.a, w.b, bins + 1) if np.isscalar(bins) else bins)
-    widths = np.diff(edges)
-    flat, rid = _flat_points(batch)
-    counts = _binned(flat, rid * widths.size, edges, len(batch), _bin_index(edges))
-    counts = counts.reshape(len(batch), -1).astype(float)
-    rate = counts.mean(axis=0) / widths
-    spread = counts.std(axis=0, ddof=1) if len(batch) > 1 else np.zeros(len(widths))
-    stderr = spread / np.sqrt(len(batch)) / widths
-    return edges, rate, stderr
 
 
 def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
@@ -201,7 +174,7 @@ def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
     g = counts.mean(axis=0) / norm
     spread = counts.std(axis=0, ddof=1) if reps > 1 else np.zeros_like(norm)
     stderr = spread / np.sqrt(reps) / norm
-    return PcfEstimate(edges, g, stderr, reps)
+    return PcfEstimate(edges, g, stderr)
 
 
 def expected_pcf(edges, length: float, sigma: float) -> np.ndarray:
@@ -216,16 +189,6 @@ def expected_pcf(edges, length: float, sigma: float) -> np.ndarray:
     inner = -(length - r1 - sigma / 2) * np.expm1(-x) + h * np.exp(-x)
     bunched = sigma / 2 * np.exp(-2 * r1 / sigma) * inner
     return 1.0 + bunched / (h * (length - r1 - h / 2))
-
-
-def count_statistics(batch) -> dict:
-    """Across-replicate count mean, variance, and Fano factor."""
-    batch_window(batch)
-    counts = np.array([len(c) for c in batch], dtype=float)
-    mean = counts.mean()
-    variance = counts.var(ddof=1) if counts.size > 1 else 0.0
-    fano = variance / mean if mean > 0 else float("nan")
-    return {"mean": mean, "variance": variance, "fano": fano}
 
 
 def pcf_to_csv(path, estimate: PcfEstimate, g_theory=None, header: str = ""):

@@ -164,12 +164,6 @@ def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
     return FockOperator(spec, target, amplitude)
 
 
-def number_operator(spec: ModeSpec) -> FockOperator:
-    """N = sum_i a_i^dag a_i, diagonal in the occupation basis."""
-    total = spec.occupations().sum(axis=1)
-    return FockOperator(spec, np.arange(spec.dimension), total.astype(float))
-
-
 def _merge_columns(terms):
     """Sum the entries of each column that share a target.
 
@@ -292,11 +286,6 @@ def _trace(rho: DensityMatrix, op: FockOperator) -> complex:
     return complex(entries @ op.amplitude)
 
 
-def mean_occupation(rho: DensityMatrix, mode: int) -> float:
-    n_op = [ladder(rho.spec, mode, "create"), ladder(rho.spec, mode, "annihilate")]
-    return float(np.real(expectation(rho, n_op)))
-
-
 # ---------------------------------------------------------------------------
 # Coherent states (single mode)
 
@@ -339,15 +328,6 @@ def _displacement_eigenbasis(alpha: complex, cutoff: int):
     x, v = eigh_tridiagonal(np.zeros(cutoff + 1), np.sqrt(n[1:] / 2.0))
     c = 1j * np.exp(1j * np.angle(alpha))
     return v, x, c, np.exp(-1j * np.sqrt(2.0) * abs(alpha) * x)
-
-
-def displacement_operator(alpha: complex, cutoff: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space, as
-    I + u diag(phases - 1) u^dag in the eigenbasis of `_displacement_eigenbasis`;
-    D(0) is the identity exactly."""
-    v, x, c, phases = _displacement_eigenbasis(alpha, cutoff)
-    u = c ** np.arange(cutoff + 1)[:, None] * v
-    return np.eye(cutoff + 1) + (u * (phases - 1.0)) @ u.conj().T
 
 
 def displacement_check(alpha: complex, cutoff: int) -> dict:

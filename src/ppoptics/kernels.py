@@ -145,11 +145,6 @@ class SpectralKernel:
         """Matrix F with F[k, i] = phi_k(points[i]), in the basis's own dtype."""
         return self.basis(np.atleast_1d(np.asarray(points, dtype=float)))
 
-    def diagonal(self, points) -> np.ndarray:
-        """K(x,x) on an array of points."""
-        f = self.feature_matrix(points)
-        return np.real(np.einsum("k,ki,ki->i", self.eigenvalues, f, f.conj()))
-
 
 def hermite_projection_kernel(n_modes: int) -> SpectralKernel:
     """Rank-N projection onto the first N Hermite functions (eta=-1).

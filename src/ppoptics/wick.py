@@ -227,15 +227,6 @@ def wick_expand(pair_table, eta: int) -> complex:
     return total
 
 
-def correlator_value(k_matrix, eta: int) -> complex:
-    """Joint occupation correlator from the matrix of <a_i^dag a_j>.
-
-    Permanent for eta=+1 (bosons), determinant for eta=-1 (fermions).
-    """
-    _check_eta(eta)
-    return permanent(k_matrix) if eta == 1 else determinant(k_matrix)
-
-
 def _check_eta(eta):
     if eta not in (-1, 1):
         raise ValueError(f"eta must be +1 or -1, got {eta}")

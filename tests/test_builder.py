@@ -56,8 +56,11 @@ class TestSpectrumToLevels:
             builder.spectrum_to_levels([0.0], beta=1.0, eta=-1)
 
     def test_zero_temperature_limit_routine(self):
-        lam = builder.zero_temperature_spectrum([-2.0, -0.1, 0.3, 5.0], zeta=0.0)
-        assert np.array_equal(lam, [1.0, 1.0, 0.0, 0.0])
+        # the endpoints are reached only as beta -> infinity: at beta = 1e3 every
+        # level below zeta fills and every level above it empties
+        nu = np.array([-2.0, -0.1, 0.3, 5.0])
+        lam = builder.levels_to_spectrum(GrandCanonicalSpec(1e3, 0.0, nu, -1))
+        assert np.abs(lam - [1.0, 1.0, 0.0, 0.0]).max() < 1e-40
 
 
 class TestLogPartitionFunction:

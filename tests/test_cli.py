@@ -347,6 +347,8 @@ class TestUserErrors:
         # small --reps: a regression that draws the matrices first stays small
         ["verify", "gue", "--n", "300", "--reps", "2"],
         ["verify", "gue", "--reps", "0"],
+        # 4e9 matrix entries, 30 GiB of normals: refused before any draw
+        ["verify", "gue", "--n", "200", "--reps", "100000"],
         ["verify", "wick", "--cases", "0"],
         ["verify", "wick", "--cases", "-1"],
         ["sample", "--family", "permanental", "--sigma", "nan"],
@@ -397,6 +399,7 @@ class TestUserErrors:
             "blank-row", "nan-point", "row-with-three-fields", "replicate-id-not-int",
             "infinite-window-in-header", "lambdas-for-projection", "lambdas-for-poisson",
             "infinite-window", "gue-zero-modes", "gue-too-many-modes", "gue-zero-reps",
+            "gue-too-many-entries",
             "wick-zero-cases", "wick-negative-cases", "nan-sigma", "infinite-sigma",
             "nan-omega", "infinite-omega", "negative-infinite-omega", "nan-scale",
             "negative-nodes-per-unit",
@@ -508,6 +511,17 @@ class TestUserErrors:
         assert "default grid of 64 cells per sigma" in report["error"]
         assert report["config"]["nodes_per_unit"] == 64_000_000
 
+    @pytest.mark.parametrize("grid", [[], ["--nodes-per-unit", "100"]], ids=["default", "given"])
+    def test_sigma_refusal_reports_the_configuration(self, grid, tmp_path, capsys):
+        # the sampler's own sigma check, with the configuration resolved so far
+        capsys.readouterr()
+        assert run(["sample", "--family", "permanental", "--sigma", "nan", *grid,
+                    "--out", str(tmp_path / "out.csv")]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "sigma must be positive and finite, got nan"
+        want = {"family", "seed", "command", "sigma", "omega", "scale"}
+        assert set(report["config"]) == want | ({"nodes_per_unit"} if grid else set())
+
     def test_mixture_eigenvalue_above_one(self, tmp_path, capsys):
         # refused when the kernel is built, with the configuration resolved so far
         out = tmp_path / "out.csv"
@@ -556,6 +570,24 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["checks"][0]["value"] < 0.02
+
+    @pytest.mark.parametrize("n, reps, refused", [
+        (8, 65_536, False), (8, 65_537, True), (1, 2_000_000, True),
+    ])
+    def test_gue_caps_before_any_draw(self, n, reps, refused, monkeypatch, capsys):
+        # a stand-in draw marks the call: a refused size never reaches it
+        def draw(*args):
+            raise RuntimeError("drawn")
+
+        monkeypatch.setattr(cli, "gue_eigenvalues", draw)
+        argv = ["verify", "gue", "--n", str(n), "--reps", str(reps)]
+        if not refused:
+            with pytest.raises(RuntimeError, match="drawn"):
+                run(argv)
+            return
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "above the limit" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ks_distance_matches_scipy_asymptotic(self, seed):

@@ -33,7 +33,9 @@ class TestHermiteFunctions:
         kern = kernels.hermite_projection_kernel(10)
         a, b = kern.window.a, kern.window.b
         x = np.linspace(a, b, 8192)
-        trace = np.trapezoid(kern.diagonal(x), x)
+        f = kern.feature_matrix(x)
+        # K(x, x) = sum_k lambda_k |phi_k(x)|^2
+        trace = np.trapezoid(kern.eigenvalues @ np.abs(f) ** 2, x)
         assert trace == pytest.approx(10.0, abs=1e-6)
 
     def test_window_is_a_window(self):

@@ -1,7 +1,7 @@
 """Property tests over drawn inputs: the occupation-law round trip, the
 Wick expansion against the exact Fock-space trace, the Fock-space oracle
 (operator products, traces and commutation reports) against its dense
-definition, and the batch-wide histograms against per-replicate
+definition, and the batch-wide pair histogram against per-replicate
 `np.histogram`."""
 
 import operator
@@ -155,15 +155,6 @@ def reference_pcf(batch, edges):
     return g, spread / np.sqrt(reps) / norm
 
 
-def reference_intensity(batch, edges):
-    """The intensity estimate from one `np.histogram` per replicate."""
-    widths = np.diff(edges)
-    counts = np.array([np.histogram(c.points, edges)[0] for c in batch], dtype=float)
-    rate = counts.mean(axis=0) / widths
-    spread = counts.std(axis=0, ddof=1) if len(batch) > 1 else np.zeros(len(widths))
-    return rate, spread / np.sqrt(len(batch)) / widths
-
-
 @st.composite
 def dyadic_batches(draw):
     """A batch on a window whose points, and pcf edges, lie on a grid of step
@@ -204,28 +195,9 @@ def test_pcf_matches_per_replicate_histograms(case):
     assert np.array_equal(est.stderr, stderr, equal_nan=True)
 
 
-@settings(deadline=None, max_examples=300)
-@given(dyadic_batches(), st.integers(-2, 1), st.integers(-1, 2), st.integers(1, 8))
-def test_intensity_matches_per_replicate_histograms(case, below, beyond, n_bins):
-    # edges that start or end inside the window or beyond it, and a count of bins
-    batch, _ = case
-    w = batch[0].window
-    quarter = w.length / 4
-    edges = np.linspace(w.a - below * quarter, w.b + beyond * quarter, n_bins + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for bins, want_edges in [(edges, edges), (n_bins, np.linspace(w.a, w.b, n_bins + 1))]:
-            got_edges, rate, stderr = estimators.estimate_intensity(batch, bins)
-            want_rate, want_stderr = reference_intensity(batch, want_edges)
-            assert np.array_equal(got_edges, want_edges)
-            assert np.array_equal(rate, want_rate, equal_nan=True)
-            assert np.array_equal(stderr, want_stderr, equal_nan=True)
-
-
 @pytest.mark.parametrize("edges", [[0.0, 0.2, 0.1], [0.3, 0.2], [0.0, 0.1, 0.1, 0.05, 0.2]])
 def test_decreasing_edges_rejected(edges):
     w = Window(0.0, 1.0)
     batch = [PointConfiguration([0.1, 0.2, 0.4], w), PointConfiguration([], w)]
     with pytest.raises(ValueError, match="monotonically"):
         estimators.estimate_pcf(batch, edges)
-    with pytest.raises(ValueError, match="monotonically"):
-        estimators.estimate_intensity(batch, edges)

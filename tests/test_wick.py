@@ -315,18 +315,22 @@ class TestWickExpand:
 
 
 class TestCorrelatorValue:
+    """The joint occupation correlator from the matrix K of <a_i^dag a_j>: the
+    permanent of K for bosons (eta = +1), its determinant for fermions (eta = -1)."""
+
+    CORRELATOR = {1: wick.permanent, -1: wick.determinant}
+
     @pytest.mark.parametrize("eta", [-1, 1])
     def test_diagonal_modes_multiply(self, eta):
         occ = np.array([0.3, 0.8, 2.5])
-        got = wick.correlator_value(np.diag(occ), eta)
-        assert got == pytest.approx(np.prod(occ))
+        assert self.CORRELATOR[eta](np.diag(occ)) == pytest.approx(np.prod(occ))
 
     def test_two_by_two_hermitian(self):
         k = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
         want_det = 0.7 * 0.4 - abs(0.2 + 0.1j) ** 2
         want_per = 0.7 * 0.4 + abs(0.2 + 0.1j) ** 2
-        assert wick.correlator_value(k, -1) == pytest.approx(want_det)
-        assert wick.correlator_value(k, 1) == pytest.approx(want_per)
+        assert self.CORRELATOR[-1](k) == pytest.approx(want_det)
+        assert self.CORRELATOR[1](k) == pytest.approx(want_per)
 
 
 class TestPsdProperties:
