@@ -5,9 +5,9 @@ The field is e^{i omega t} A(t) with A a complex Ornstein-Uhlenbeck process,
 so |E|^2 = |A|^2 depends on the envelope time sigma alone, never on the
 carrier omega (Macchi 1975).  `_intensity_sampler(sigma, n, dt)` draws it by
 the exact AR(1) recursion of A (Gillespie 1996), on a grid that must resolve
-sigma, for a block of generators at once.  When no grid density is given,
-`permanental_nodes_per_unit` sets it from sigma.  `check_sigma` is the one
-check of sigma.
+sigma, for a block of replicates from one generator (block b of a batch draws
+from child b of its seed).  When no grid density is given,
+`permanental_nodes_per_unit` sets it from sigma; `check_sigma` checks sigma.
 """
 
 import math
@@ -99,14 +99,14 @@ def permanental_nodes_per_unit(sigma: float) -> int:
 
 
 def _intensity_sampler(sigma: float, n: int, dt: float):
-    """A draw `rngs -> |E|^2 = |A|^2` of the field of envelope time sigma on n
-    nodes spaced dt: one row of the (len(rngs), n) result per generator.
+    """A draw `(rng, size) -> |E|^2 = |A|^2` of the field of envelope time sigma
+    on n nodes spaced dt: one row of the (size, n) result per replicate.
 
-    A is the exact AR(1) recursion at the nodes (Gillespie 1996).  Each
-    generator fills its own (2, n) normals, the values of
-    rng.standard_normal((2, n)), real parts then imaginary parts, each of unit
-    variance; one recursion then runs over the whole block.  A grid whose cell
-    dt exceeds sigma / 4 is refused.
+    A is the exact AR(1) recursion at the nodes (Gillespie 1996).  The block's
+    normals are one rng.standard_normal((size, 2, n)), real parts then
+    imaginary parts of each replicate, each of unit variance; one recursion
+    then runs over the whole block.  A grid whose cell dt exceeds sigma / 4 is
+    refused.
     """
     bound = _MAX_CELL_PER_SIGMA * sigma
     if not dt <= bound:
@@ -116,15 +116,9 @@ def _intensity_sampler(sigma: float, n: int, dt: float):
         )
     recursion = _ou_recursion(n, dt / sigma)
 
-    def normals(rngs):
-        x = np.empty((len(rngs), 2, n))
-        for rng, row in zip(rngs, x):
-            rng.standard_normal(out=row)
-        return x
-
-    def draw(rngs):
+    def draw(rng, size):
         # the normals are freed once the recursion has read them
-        a = recursion(normals(rngs))
+        a = recursion(rng.standard_normal((size, 2, n)))
         return a[:, 0] ** 2 + a[:, 1] ** 2
 
     return draw

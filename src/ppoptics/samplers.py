@@ -2,25 +2,23 @@
 i.i.d. point processes on an interval, plus batch CSV I/O.
 
 The sampler API is batch-only: each family has one `sample_*_batch`
-function, and a single draw is `reps=1`.  Every batch is deterministic
-given its seed: Poisson, permanental and fixed-count replicates each use
-an independently spawned child seed, and the determinantal sampler one
-per block of replicates.  No batch holds more than _MAX_REPLICATES
-replicates.  `sample_cox` is the exception: it draws once on a given
-intensity path, from a seed or a `Generator`.
+function, and a single draw is `reps=1`.  There is one seeding rule: a
+batch runs its replicates in blocks, and block b draws from child b of
+`SeedSequence(seed)` (`_blocks`), so the private byte budget that sets the
+block size is part of the stream.  No batch holds more than
+_MAX_REPLICATES replicates.  `sample_cox` is the exception: it draws once
+on a given intensity path, from a seed or a `Generator`.
 
-A permanental replicate is a draw of |E+|^2, the squared modulus of the
-Lorentz-line complex Gaussian field, followed by the Cox step of
-`sample_cox` on it, both from the replicate's own child generator.  Its
-law depends on the envelope time sigma alone, so sigma is the sampler's
+The permanental and fixed-count samplers and `sample_cox` share one Cox
+step (`_draw_cells`): per block, every cell uniform in one draw, then every
+jitter in one more, then `_configurations` sorts each replicate.  A
+permanental replicate is a draw of |E+|^2, the squared modulus of the
+Lorentz-line complex Gaussian field, followed by that Cox step.  Its law
+depends on the envelope time sigma alone, so sigma is the sampler's
 parameter: the intensity is drawn by the exact AR(1) recursion of the
-field's envelope, on a grid whose cell resolves sigma.  The batch runs
-blocks of replicates in lockstep: one recursion over the block's normals
-and one pass of cell masses, totals and cumulative sums, then each
-replicate's count and points.  Each replicate still fills its normals and
-draws its count and points from its own child generator, in the order a
-lone replicate would, so the block size (a private byte budget) never
-changes the sample.
+field's envelope, on a grid whose cell resolves sigma.  A block draws its
+normals in one call, runs one recursion and one pass of cell masses,
+totals and cumulative sums, and takes its counts from one Poisson draw.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell).  The
@@ -43,7 +41,7 @@ before sampling.  The chain runs a block of replicates in lockstep.  All
 replicates propose from one density, the diagonal of the functions left,
 through one CDF, and accept by exact rejection against their own residual
 diagonal.  Each block draws its keep masks, proposals and jitter from its
-own child generator; a private byte budget sets the block size.  No
+own child generator, and `_configurations` finishes it.  No
 (cells, rank) feature array is ever held: the grid keeps the diagonal,
 summed in slices of cells, and the chain evaluates the kernel's feature map
 at each round's proposals.
@@ -74,17 +72,17 @@ _POISSON_MAX_MERGED = 1e-6
 _GRID_MAX_CELLS = 2**24
 # most replicates of one batch, sampled or loaded.  An empty replicate loaded from a
 # batch file holds about 320 bytes (460 at the load's peak), so this many take about
-# 0.5 GiB; a sampled replicate's child generator takes about 1 KB more
+# 0.5 GiB; a sampled block's child generator, made as it is drawn, takes about 1 KB
 _MAX_REPLICATES = 2**20
 # the chain's direction array and per-round gathers stay within about this many
 # bytes per block of replicates
 _CHAIN_BLOCK_BYTES = 16 * 2**20
-# the permanental normals of one block of replicates stay within this many bytes,
-# 16 per cell and replicate; a grid above it runs one replicate per block.  The
-# median draw of 250 replicates on 1024 cells (40 interleaved runs, one Xeon core)
-# took 27.2, 25.6, 25.6, 26.4, 27.1, 28.5 and 29.8 ms at 64, 128, 256 and 512 KiB
-# and 1, 2 and 8 MiB, against 35.1 ms one replicate at a time
-_PERMANENTAL_BLOCK_BYTES = 256 * 2**10
+# a block of Poisson, permanental or fixed-count replicates stays within about this
+# many bytes: 16 per cell of permanental normals, 32 per expected point.  The median
+# permanental draw of 250 replicates on 1024 cells (40 interleaved runs, one Xeon
+# core, two sweeps) took 22.5-24.0, 19.1-20.0, 17.5-18.6, 16.9-18.2, 17.2-18.5,
+# 18.6-19.9 and 19.8-21.2 ms at 64, 128, 256 and 512 KiB and 1, 2 and 8 MiB
+_COX_BLOCK_BYTES = 256 * 2**10
 
 
 class RankLossError(RuntimeError):
@@ -153,13 +151,19 @@ def batch_window(batch) -> Window:
 
 
 def _check_replicates(reps: int):
-    """Refuse more than _MAX_REPLICATES replicates, before anything is drawn."""
+    """Refuse fewer than 0 or more than _MAX_REPLICATES replicates, before any draw."""
+    if reps < 0:
+        raise ValueError(f"{reps} replicates: the count must be nonnegative")
     if reps > _MAX_REPLICATES:
         raise ValueError(f"{reps} replicates, above the limit of {_MAX_REPLICATES}")
 
 
-def _child_rngs(seed, reps: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(reps)]
+def _blocks(seed, reps: int, block: int):
+    """(generator, size) per block of `block` replicates, the last one partial:
+    block b draws from child b of SeedSequence(seed)."""
+    root = np.random.SeedSequence(seed)
+    for start in range(0, reps, block):
+        yield np.random.default_rng(root.spawn(1)[0]), min(block, reps - start)
 
 
 def _simple_sorted(points: np.ndarray, window: Window, rng, cell: float) -> np.ndarray:
@@ -185,12 +189,26 @@ def _inverse_cdf(cdf, total, u):
     return np.minimum(np.searchsorted(cdf, u * total, side="right"), cdf.size - 1)
 
 
-def _draw_cells(cdf, total, k: int, grid: CellGrid, rng) -> PointConfiguration:
-    """k i.i.d. points from the piecewise-constant density with cumulative cell
-    masses `cdf` (summing to `total`): inverse CDF, then jitter inside the cell."""
-    idx = _inverse_cdf(cdf, total, rng.random(k))
-    pts = grid.centers[idx] + (rng.random(k) - 0.5) * grid.cell
-    return PointConfiguration(_simple_sorted(pts, grid.window, rng, grid.cell), grid.window)
+def _draw_cells(cdfs, totals, counts, grid: CellGrid, rng) -> list:
+    """The Cox step for a block: replicate r takes counts[r] i.i.d. points from the
+    piecewise-constant density of cumulative cell masses cdfs[r] (summing to
+    totals[r]): inverse CDF on one draw of uniforms, then one draw of jitter."""
+    u = np.split(rng.random(np.sum(counts)), np.cumsum(counts)[:-1])
+    idx = np.concatenate([_inverse_cdf(c, t, v) for c, t, v in zip(cdfs, totals, u)])
+    pts = grid.centers[idx] + (rng.random(idx.size) - 0.5) * grid.cell
+    return _configurations(pts, counts, grid, rng)
+
+
+def _configurations(pts, counts, grid: CellGrid, rng) -> list:
+    """Replicate r's next counts[r] of `pts`, sorted; `_simple_sorted` draws from
+    `rng` only for a replicate with a tie, in replicate order."""
+    rows = np.full((len(counts), np.max(counts)), np.inf)
+    used = np.arange(rows.shape[1]) < np.asarray(counts)[:, None]
+    rows[used] = pts
+    rows.sort(axis=1)
+    tied = ((rows[:, 1:] <= rows[:, :-1]) & used[:, 1:]).any(axis=1)
+    return [PointConfiguration(_simple_sorted(r[:c], grid.window, rng, grid.cell) if t else r[:c],
+                               grid.window) for r, c, t in zip(rows, counts, tied)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +216,16 @@ def _draw_cells(cdf, total, k: int, grid: CellGrid, rng) -> PointConfiguration:
 
 
 def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
-    """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process."""
+    """Inhomogeneous Poisson samples by thinning a homogeneous rate_max process (one
+    `rate_fn` call per block).  rate_max must be finite and > 0; rates lie in [0, rate_max]."""
     _check_replicates(reps)
-    if rate_max <= 0:
-        raise ValueError(f"rate_max must be positive, got {rate_max}")
-    if not rate_max * w.length <= _MAX_MEAN_COUNT:
+    if not 0 < rate_max < np.inf:
+        raise ValueError(f"rate_max must be positive and finite, got {rate_max}")
+    mean = rate_max * w.length
+    if not mean <= _MAX_MEAN_COUNT:
         raise ValueError(
-            f"rate_max * window length = {rate_max * w.length:g} expected points per "
-            f"replicate, above the limit of {_MAX_MEAN_COUNT:g}"
+            f"rate_max * window length = {mean:g} expected points per replicate, above "
+            f"the limit of {_MAX_MEAN_COUNT:g}"
         )
     # about this share of the points falls on a float64 value already taken and
     # is merged by np.unique: at most 1e-9 for a window [0, b] under the mean cap
@@ -217,22 +237,25 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
             f"spacing {spacing:g}, above the limit of {_POISSON_MAX_MERGED:g}"
         )
     out = []
-    for rng in _child_rngs(seed, reps):
-        n = rng.poisson(rate_max * w.length)
-        t = w.a + w.length * rng.random(n)
+    for rng, size in _blocks(seed, reps, max(1, int(_COX_BLOCK_BYTES / (32 * max(mean, 1))))):
+        n = rng.poisson(mean, size)
+        t = w.a + w.length * rng.random(n.sum())
         vals = np.asarray(rate_fn(t), dtype=float)
         if vals.shape != t.shape:
             raise ValueError(
                 f"rate_fn must map times of shape {t.shape} to rates of the same shape, "
                 f"got {vals.shape}"
             )
-        if vals.size and vals.max() > rate_max * (1 + 1e-12):
-            worst = t[np.argmax(vals)]
-            raise ValueError(
-                f"rate_fn({worst:g}) = {vals.max():g} exceeds rate_max = {rate_max:g}"
-            )
-        keep = rng.random(n) * rate_max < vals
-        out.append(PointConfiguration(np.unique(t[keep]), w))
+        # written so that a NaN is bad
+        bad = ~(vals >= 0) | (vals > rate_max * (1 + 1e-12))
+        if bad.any():
+            i = bad.argmax()
+            why = f"exceeds rate_max = {rate_max:g}" if vals[i] > 0 else "is negative or NaN"
+            raise ValueError(f"rate_fn({t[i]:g}) = {vals[i]:g} {why}")
+        keep = rng.random(t.size) * rate_max < vals
+        kept = np.bincount(np.repeat(np.arange(size), n)[keep], minlength=size)
+        out += [PointConfiguration(np.unique(row), w)
+                for row in np.split(t[keep], np.cumsum(kept)[:-1])]
     return out
 
 
@@ -242,7 +265,8 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
     `intensity` is the finite, nonnegative path (e.g. |E+|^2) on the grid
     cells, piecewise constant; the rate is scale * intensity.  An expected
     count scale * sum(intensity) * cell above _MAX_MEAN_COUNT is refused.
-    `seed` is a seed or a `Generator`, which is drawn from in place.
+    `seed` is a seed or a `Generator`, which is drawn from in place, by the
+    Cox step the batch samplers run on each block (one replicate here).
     """
     rng = np.random.default_rng(seed)
     intensity = np.asarray(intensity, dtype=float)
@@ -262,7 +286,7 @@ def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfigurat
             f"scale * intensity mass = {total:g} expected points, above the limit of "
             f"{_MAX_MEAN_COUNT:g}"
         )
-    return _draw_cells(np.cumsum(masses), total, rng.poisson(total), grid, rng)
+    return _draw_cells([np.cumsum(masses)], [total], [rng.poisson(total)], grid, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +302,10 @@ def sample_permanental_batch(
     Each replicate draws |E+|^2 of the circularly-symmetric complex Gaussian
     field at the window's cell centers, by the AR(1) recursion of its
     envelope, then the Cox step at rate scale * |E+|^2 (what `sample_cox`
-    does), both on its own child generator.  Replicates run in blocks sized
-    by `_PERMANENTAL_BLOCK_BYTES`: one recursion and one pass of cell masses
-    per block, then each replicate's count and points from its own
-    generator, which is drawn from in the order of a lone replicate.  The
-    grid density defaults to `permanental_nodes_per_unit(sigma)`.  More than
+    does).  Block b of `_COX_BLOCK_BYTES` draws from child b of the seed, so that
+    budget is part of the stream: all its normals, its counts in one Poisson
+    draw, then its cell uniforms and its jitters.  The grid density defaults
+    to `permanental_nodes_per_unit(sigma)`.  More than
     _MAX_REPLICATES replicates, a sigma that is not finite and positive, an
     expected count 2 * scale * window length above _MAX_MEAN_COUNT and a
     grid whose cell exceeds sigma / 4 raise ValueError.
@@ -310,19 +333,15 @@ def sample_permanental_batch(
             )
     grid = CellGrid(w, nodes_per_unit)
     draw = _intensity_sampler(sigma, grid.n, grid.cell)
-    block = max(1, _PERMANENTAL_BLOCK_BYTES // (16 * grid.n))
-    rngs = _child_rngs(seed, reps)
     out = []
-    for start in range(0, reps, block):
-        chunk = rngs[start:start + block]
+    for rng, size in _blocks(seed, reps, max(1, _COX_BLOCK_BYTES // (16 * grid.n))):
         # the masses scale * |E+|^2 * cell, in place and in that order
-        masses = draw(chunk)
+        masses = draw(rng, size)
         masses *= scale
         masses *= grid.cell
         totals = masses.sum(axis=1)
         np.cumsum(masses, axis=1, out=masses)
-        out += [_draw_cells(cdf, total, rng.poisson(total), grid, rng)
-                for rng, cdf, total in zip(chunk, masses, totals)]
+        out += _draw_cells(masses, totals, rng.poisson(totals), grid, rng)
         # freed before the next block's draw, so that the two never coexist
         del masses
     return out
@@ -354,7 +373,7 @@ def _hkpv_chain(features_at, diag, lam, grid: CellGrid, reps: int, seed) -> list
     evaluated once per round, at that round's proposals.
 
     Replicates run in blocks sized by `_CHAIN_BLOCK_BYTES`; block b draws its
-    keep masks, proposals and jitter from child b of the seed.
+    keep masks, proposals and jitter from child b of the seed (`_blocks`).
     """
     rank = lam.size
     dtype = features_at(np.zeros(0, dtype=np.intp)).dtype
@@ -363,10 +382,8 @@ def _hkpv_chain(features_at, diag, lam, grid: CellGrid, reps: int, seed) -> list
     # per replicate: the directions, their gathered copy and three (proposals, rank)
     # round arrays, with at most about `trace` <= rank proposals per round
     block = max(1, _CHAIN_BLOCK_BYTES // (5 * max(rank, 1) ** 2 * dtype.itemsize))
-    starts = range(0, reps, block)
     out = []
-    for start, rng in zip(starts, _child_rngs(seed, len(starts))):
-        size = min(block, reps - start)
+    for rng, size in _blocks(seed, reps, block):
         keep = rng.random((size, rank)) < lam
         k = keep.sum(axis=1)
         # conj_dirs[r, :, j] is the conjugate of replicate r's j-th direction
@@ -408,15 +425,7 @@ def _hkpv_chain(features_at, diag, lam, grid: CellGrid, reps: int, seed) -> list
                 cells[rows, j] = idx[hit, first]
                 todo = todo[~hit]
         pts = grid.centers[cells] + (rng.random(cells.shape) - 0.5) * grid.cell
-        unused = np.arange(rank) >= k[:, None]
-        pts[unused] = np.inf
-        pts.sort(axis=1)
-        tied = ((pts[:, 1:] <= pts[:, :-1]) & ~unused[:, 1:]).any(axis=1)
-        for r in range(size):
-            row = pts[r, : k[r]]
-            if tied[r]:
-                row = _simple_sorted(row, grid.window, rng, grid.cell)
-            out.append(PointConfiguration(row, grid.window))
+        out += _configurations(pts[np.arange(rank) < k[:, None]], k, grid, rng)
     return out
 
 
@@ -539,9 +548,10 @@ def sample_fock_pp_batch(
 ) -> list:
     """Samples of k i.i.d. draws from the density proportional to |phi_plus|^2.
 
-    A k above _MAX_MEAN_COUNT is refused before any draw, and so is a grid
-    where one cell holds more than `_FOCK_MAX_CELL_SHARE` of the mass:
-    the grid then does not resolve the envelope.
+    A k above _MAX_MEAN_COUNT is refused before any draw, and so are a
+    phi_plus of the wrong shape and a grid where one cell holds more than
+    `_FOCK_MAX_CELL_SHARE` of the mass: the grid then does not resolve the
+    envelope.
     """
     _check_replicates(reps)
     if k < 1:
@@ -549,7 +559,11 @@ def sample_fock_pp_batch(
     if k > _MAX_MEAN_COUNT:
         raise ValueError(f"k = {k} points per replicate, above the limit of {_MAX_MEAN_COUNT:g}")
     grid = CellGrid(w, nodes_per_unit)
-    masses = np.abs(np.asarray(phi_plus(grid.centers), dtype=complex)) ** 2
+    amplitudes = np.asarray(phi_plus(grid.centers), dtype=complex)
+    if amplitudes.shape != grid.centers.shape:
+        raise ValueError(f"phi_plus must map times of shape {grid.centers.shape} to "
+                         f"amplitudes of the same shape, got {amplitudes.shape}")
+    masses = np.abs(amplitudes) ** 2
     total = masses.sum()
     if not total > 0:  # NaN fails this too
         raise ValueError(f"|phi_plus|^2 has zero total mass on the window (sum {total})")
@@ -561,8 +575,10 @@ def sample_fock_pp_batch(
             f"{_FOCK_MAX_CELL_SHARE}: the cell at {grid.centers[top]:g}, {grid.cell:g} wide, "
             "does not resolve the envelope; raise nodes_per_unit"
         )
-    cdf = np.cumsum(masses)
-    return [_draw_cells(cdf, total, k, grid, rng) for rng in _child_rngs(seed, reps)]
+    cdf, out = np.cumsum(masses), []
+    for rng, size in _blocks(seed, reps, max(1, _COX_BLOCK_BYTES // (32 * k))):
+        out += _draw_cells([cdf] * size, [total] * size, [k] * size, grid, rng)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -475,10 +475,10 @@ class TestUserErrors:
 
     def test_poisson_mean_too_large(self, tmp_path, capsys, monkeypatch):
         # 5e9 expected points would need tens of GiB: refused before any draw
-        def no_draw(seed, reps):
+        def no_draw(seed, reps, block):
             raise AssertionError("drew before checking the mean count")
 
-        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        monkeypatch.setattr(samplers, "_blocks", no_draw)
         out = tmp_path / "out.csv"
         capsys.readouterr()
         assert run(["sample", "--family", "poisson", "--rate", "5", "--window", "0", "1e9",
@@ -490,10 +490,10 @@ class TestUserErrors:
                              ids=["poisson", "permanental"])
     def test_replicate_cap_refused_before_drawing(self, family, tmp_path, capsys, monkeypatch):
         # 1e13 child generators would need about 10 PB: refused before any is spawned
-        def no_draw(seed, reps):
+        def no_draw(seed, reps, block):
             raise AssertionError("spawned before checking the replicate count")
 
-        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        monkeypatch.setattr(samplers, "_blocks", no_draw)
         out = tmp_path / "out.csv"
         capsys.readouterr()
         assert run(["sample", "--family", *family, "--reps", "10000000000000",

@@ -17,9 +17,8 @@ def lorentz_covariance(tau, sigma, omega):
 class TestGrid:
     def test_sigma_resolution_enforced(self):
         draw = gf._intensity_sampler(0.1, 256, 0.1 / 4)
-        # one row of intensities per generator
-        rngs = [np.random.default_rng(s) for s in range(3)]
-        assert draw(rngs).shape == (3, 256)
+        # one row of intensities per replicate of the block
+        assert draw(np.random.default_rng(0), 3).shape == (3, 256)
         with pytest.raises(ValueError, match=r"cell 0\.025641 .* sigma=0\.1: .* = 0\.025;"):
             gf._intensity_sampler(0.1, 256, 0.1 / 3.9)
 
@@ -32,7 +31,7 @@ class TestComplexCircularGp:
         self.n, self.dt = 512, 1 / 128
 
     def intensity(self, seed):
-        (row,) = gf._intensity_sampler(self.sigma, self.n, self.dt)([np.random.default_rng(seed)])
+        (row,) = gf._intensity_sampler(self.sigma, self.n, self.dt)(np.random.default_rng(seed), 1)
         return row
 
     def test_pseudo_covariance_vanishes(self):

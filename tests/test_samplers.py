@@ -24,7 +24,7 @@ def batch_counts(batch):
 def lockstep_block(cells):
     """Replicates per lockstep block of the permanental batch on `cells` cells:
     its normals, 16 bytes per cell, within the block budget."""
-    return samplers._PERMANENTAL_BLOCK_BYTES // (16 * cells)
+    return samplers._COX_BLOCK_BYTES // (16 * cells)
 
 
 def assert_simple_sorted(config):
@@ -169,16 +169,32 @@ class TestPoisson:
         with pytest.raises(ValueError, match="same shape"):
             samplers.sample_poisson_batch(lambda t: 2.0, 2.0, Window(0, 1), 1, 0)
 
+    @pytest.mark.parametrize("rate, why", [
+        (np.nan, "is negative or NaN"),
+        (-1.0, "is negative or NaN"),
+        (np.inf, "exceeds rate_max = 5"),
+    ], ids=["nan", "negative", "inf"])
+    def test_rate_that_cannot_be_sampled_refused(self, rate, why):
+        # a NaN or negative rate would thin every proposal away and leave empty replicates
+        with pytest.raises(ValueError, match=rf"rate_fn\(0\.\d+\) = {rate:g} {why}"):
+            samplers.sample_poisson_batch(lambda t: np.full_like(t, rate), 5.0, Window(0, 1), 3, 0)
+
+    @pytest.mark.parametrize("rate_max", [np.nan, np.inf, 0.0, -1.0])
+    def test_rate_max_that_cannot_be_sampled_refused(self, rate_max):
+        why = f"rate_max must be positive and finite, got {rate_max}"
+        with pytest.raises(ValueError, match=why):
+            samplers.sample_poisson_batch(np.ones_like, rate_max, Window(0, 1), 3, 0)
+
     def test_rate_exceeding_bound_aborts(self):
         with pytest.raises(ValueError, match="exceeds rate_max"):
             samplers.sample_poisson_batch(lambda t: np.full_like(t, 3.0), 2.0, Window(0, 1), 1, 0)
 
     def test_mean_count_cap_refused_before_drawing(self, monkeypatch):
         # 5e9 expected points would need tens of GiB; nothing may be drawn
-        def no_draw(seed, reps):
+        def no_draw(seed, reps, block):
             raise AssertionError("drew before checking the mean count")
 
-        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        monkeypatch.setattr(samplers, "_blocks", no_draw)
         rate = lambda t: np.full_like(t, 5.0)
         with pytest.raises(ValueError, match="expected points"):
             samplers.sample_poisson_batch(rate, 5.0, Window(0, 1e9), 1, 0)
@@ -287,23 +303,38 @@ class TestPermanental:
         pytest.param(6, 3, (0.5, 1.25), 32768, id="one-replicate-blocks"),
     ])
     def test_matches_per_replicate_field_then_cox(self, seed, reps, window, nodes_per_unit):
-        # each replicate: the AR(1) envelope from its own child generator, real parts
-        # then imaginary parts, then sample_cox on |A|^2 with the same generator
-        sigma = 0.1
+        # block b, from child b of the seed: the AR(1) envelopes of all its replicates
+        # from one draw of normals, real parts then imaginary parts, their counts from
+        # one Poisson draw, then all their cell uniforms, then all their jitters
+        sigma, scale = 0.1, 40.0
         w = Window(*window)
         grid = CellGrid(w, nodes_per_unit)
         rho = np.exp(-grid.cell / sigma)
         innovation = np.sqrt(1.0 - rho**2)
+        block = lockstep_block(grid.n) or 1
+        children = np.random.SeedSequence(seed).spawn(-(-reps // block))
         want = []
-        for s in np.random.SeedSequence(seed).spawn(reps):
-            rng = np.random.default_rng(s)
-            x = rng.standard_normal((2, grid.n))
+        for b, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            size = min(block, reps - b * block)
+            x = rng.standard_normal((size, 2, grid.n))
             a = np.empty_like(x)
-            a[:, 0] = x[:, 0]
+            a[..., 0] = x[..., 0]
             for k in range(1, grid.n):
-                a[:, k] = rho * a[:, k - 1] + innovation * x[:, k]
-            want.append(samplers.sample_cox(a[0] ** 2 + a[1] ** 2, grid, 40.0, rng))
-        got = samplers.sample_permanental_batch(sigma, 40.0, w, reps, seed, nodes_per_unit)
+                a[..., k] = rho * a[..., k - 1] + innovation * x[..., k]
+            masses = scale * (a[:, 0] ** 2 + a[:, 1] ** 2) * grid.cell
+            totals = masses.sum(axis=1)
+            counts = rng.poisson(totals)
+            u = rng.random(counts.sum())
+            jitter = rng.random(counts.sum())
+            for r, start in enumerate(np.cumsum(counts) - counts):
+                span = slice(start, start + counts[r])
+                cdf = np.cumsum(masses[r])
+                cells = np.minimum(np.searchsorted(cdf, u[span] * totals[r], side="right"),
+                                   grid.n - 1)
+                pts = grid.centers[cells] + (jitter[span] - 0.5) * grid.cell
+                want.append(PointConfiguration(pts, w))
+        got = samplers.sample_permanental_batch(sigma, scale, w, reps, seed, nodes_per_unit)
         assert [len(c) for c in got] == [len(c) for c in want]
         assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
 
@@ -332,10 +363,10 @@ class TestPermanental:
 
     def test_mean_count_cap_refused_before_drawing(self, monkeypatch):
         # 2 * scale * length = 2e15 expected points: nothing may be drawn
-        def no_draw(seed, reps):
+        def no_draw(seed, reps, block):
             raise AssertionError("drew before checking the mean count")
 
-        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        monkeypatch.setattr(samplers, "_blocks", no_draw)
         with pytest.raises(ValueError, match="expected points"):
             samplers.sample_permanental_batch(0.1, 1e15, Window(0, 1), 1, 0)
         at_cap = samplers._MAX_MEAN_COUNT / 2 * (1 + 1e-9)
@@ -542,7 +573,7 @@ class TestProjectionSamplerErrors:
         grid, f, g = self.rows()
         lam = np.array([1.0, 0.5, 1.0])
         reps = 20
-        (rng,) = samplers._child_rngs(seed, 1)  # the block's keep masks come first
+        ((rng, _),) = samplers._blocks(seed, reps, reps)  # the block's keep masks come first
         lose = (rng.random((reps, 3)) < lam)[:, 1]
         assert 0 < lose.sum() < reps
         with pytest.raises(RankLossError):
@@ -661,12 +692,22 @@ class TestFockPp:
         with pytest.raises(ValueError, match="zero total mass"):
             samplers.sample_fock_pp_batch(lambda t: np.zeros_like(t), 3, Window(0, 1), 1, 0)
 
+    @pytest.mark.parametrize("phi_plus, shape", [
+        pytest.param(lambda t: 1.0, "()", id="scalar"),
+        pytest.param(lambda t: np.ones(3), r"\(3,\)", id="three-values"),
+        pytest.param(lambda t: np.ones((2, t.size)), r"\(2, 4096\)", id="two-rows"),
+    ])
+    def test_envelope_of_the_wrong_shape_refused(self, phi_plus, shape):
+        with pytest.raises(ValueError, match=r"phi_plus must map times of shape \(4096,\) to "
+                                             rf"amplitudes of the same shape, got {shape}"):
+            samplers.sample_fock_pp_batch(phi_plus, 3, Window(0, 1), 2, 0)
+
     def test_point_count_cap_refused_before_drawing(self, monkeypatch):
         # 1e13 points a replicate would need about 80 TB: nothing may be drawn
-        def no_draw(seed, reps):
+        def no_draw(seed, reps, block):
             raise AssertionError("drew before checking the point count")
 
-        monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+        monkeypatch.setattr(samplers, "_blocks", no_draw)
         for k in (10**13, int(samplers._MAX_MEAN_COUNT) + 1):
             with pytest.raises(ValueError, match="points per replicate"):
                 samplers.sample_fock_pp_batch(np.ones_like, k, Window(0, 1), 1, 0)
@@ -843,13 +884,13 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize("family", ["poisson", "permanental", "dpp-mixture", "fock"])
-@pytest.mark.parametrize("reps", [10**13, samplers._MAX_REPLICATES + 1])
+@pytest.mark.parametrize("reps", [10**13, samplers._MAX_REPLICATES + 1, -1])
 def test_replicate_cap_refused_before_drawing(family, reps, monkeypatch):
-    # every child generator would be spawned up front: nothing may be drawn
-    def no_draw(seed, reps):
+    # refused before the first block's child generator is spawned: nothing may be drawn
+    def no_draw(seed, reps, block):
         raise AssertionError("spawned before checking the replicate count")
 
-    monkeypatch.setattr(samplers, "_child_rngs", no_draw)
+    monkeypatch.setattr(samplers, "_blocks", no_draw)
     sample = {
         "poisson": lambda: samplers.sample_poisson_batch(np.ones_like, 1.0, Window(0, 1), reps, 0),
         "permanental": lambda: samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), reps, 0),
@@ -857,5 +898,41 @@ def test_replicate_cap_refused_before_drawing(family, reps, monkeypatch):
             kernels.hermite_projection_kernel(3), reps, 0),
         "fock": lambda: samplers.sample_fock_pp_batch(np.ones_like, 3, Window(0, 1), reps, 0),
     }[family]
-    with pytest.raises(ValueError, match=f"{reps} replicates, above the limit"):
+    why = "above the limit" if reps > 0 else "the count must be nonnegative"
+    with pytest.raises(ValueError, match=f"{reps} replicates(,|:) {why}"):
         sample()
+
+
+@pytest.mark.parametrize("family, budget, replicate_bytes", [
+    # 50 expected points, 32 bytes each
+    ("poisson", "_COX_BLOCK_BYTES", 32 * 50),
+    # 1024 cells of normals, 16 bytes each
+    ("permanental", "_COX_BLOCK_BYTES", 16 * 1024),
+    # five rank-3 by rank-3 float64 arrays
+    ("dpp-mixture", "_CHAIN_BLOCK_BYTES", 5 * 3**2 * 8),
+    # 3 points, 32 bytes each
+    ("fock", "_COX_BLOCK_BYTES", 32 * 3),
+], ids=["poisson", "permanental", "dpp-mixture", "fock"])
+def test_blocks_regenerate_from_the_seed_alone(family, budget, replicate_bytes, monkeypatch):
+    # block b draws from child b of the seed: every full block of a batch is the
+    # same block of a longer batch at the same seed.  A budget of 4 replicates keeps
+    # the batches small
+    block = 4
+    monkeypatch.setattr(samplers, budget, block * replicate_bytes)
+    sample = {
+        "poisson": lambda reps: samplers.sample_poisson_batch(
+            lambda t: 50.0 * np.sin(3 * t) ** 2, 50.0, Window(0, 1), reps, 11),
+        "permanental": lambda reps: samplers.sample_permanental_batch(
+            0.1, 25.0, Window(0, 1), reps, 11),
+        "dpp-mixture": lambda reps: samplers.sample_dpp_mixture_batch(
+            kernels.SpectralKernel([0.9, 0.5, 0.2], kernels.hermite_projection_kernel(3).basis,
+                                   -1, Window(-6, 6)), reps, 11, nodes_per_unit=256),
+        "fock": lambda reps: samplers.sample_fock_pp_batch(
+            lambda t: np.exp(-((t - 0.5) ** 2) / 0.09), 3, Window(0, 1), reps, 11),
+    }[family]
+    short, long = sample(2 * block), sample(3 * block + 1)
+    assert len(short) == 2 * block and len(long) == 3 * block + 1
+    assert all(np.array_equal(a.points, b.points) for a, b in zip(short, long))
+    # the third block differs from the first two: the children are distinct
+    assert not all(np.array_equal(a.points, b.points)
+                   for a, b in zip(long[2 * block:], long[:block]))
