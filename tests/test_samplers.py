@@ -250,6 +250,28 @@ class TestCox:
             samplers.sample_cox(np.ones(grid.n), grid, scale, 0)
 
 
+class TestJoinedInverseCdf:
+    """One search over a block's CDFs laid end to end finds the cells that one
+    `_inverse_cdf` per row finds."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_per_row_search(self, seed):
+        rng = np.random.default_rng(seed)
+        masses = rng.exponential(size=(6, 40)) * rng.choice([1e-3, 1.0, 1e3], size=(6, 1))
+        masses[1] = 0.0  # a row of total 0
+        masses[2, :5] = 0.0  # first cells of zero mass
+        masses[3, ::2] = 0.0
+        cdfs = np.cumsum(masses, axis=1)
+        totals = masses.sum(axis=1)
+        counts = np.array([3, 2, 50, 0, 7, 1])
+        u = rng.random(counts.sum())
+        u[[0, 5, 10]] = 0.0  # exact ties with a zero-mass cell's cumulative mass
+        want = np.concatenate([samplers._inverse_cdf(c, t, v) for c, t, v in
+                               zip(cdfs, totals, np.split(u, np.cumsum(counts)[:-1]))])
+        got = samplers._joined_inverse_cdf(cdfs, totals, counts, u)
+        assert np.array_equal(got, want)
+
+
 class TestPermanental:
     def test_intensity_matches_kernel_diagonal(self):
         scale, reps = 25.0, 2000
@@ -512,9 +534,11 @@ class TestFeaturesOnDemand:
         kern = kernels.SpectralKernel(np.asarray(lams, float), basis, -1, base.window)
         grid = CellGrid(kern.window, nodes_per_unit)
         features_at, diag, lam = samplers._projection_features(kern, grid)
-        full = np.ascontiguousarray(kern.feature_matrix(grid.centers)[kern.eigenvalues > 0].T)
-        assert full.dtype == (complex if case == "complex-basis" else float)
-        assert np.array_equal(diag, np.einsum("ik,ik->i", full, full.conj()).real)
+        rows = kern.feature_matrix(grid.centers)[kern.eigenvalues > 0]
+        assert rows.dtype == (complex if case == "complex-basis" else float)
+        # the diagonal is summed over the (rank, cells) rows, never their transpose
+        assert np.array_equal(diag, np.einsum("ki,ki->i", rows, rows.conj()).real)
+        full = np.ascontiguousarray(rows.T)
         for seed in range(3):
             got = samplers._hkpv_chain(features_at, diag, lam, grid, 100, seed)
             want = samplers._hkpv_chain(lambda cells: full[cells], diag, lam, grid, 100, seed)
@@ -533,6 +557,54 @@ class TestFeaturesOnDemand:
             tracemalloc.stop()
         assert [len(c) for c in batch] == [60, 60]
         assert peak < matrix / 4
+
+
+class EightBlocks:
+    """sqrt(8) times the columns of Q, constant on each of 8 blocks of [0, 1]:
+    orthonormal on [0, 1] when Q (8, rank) has orthonormal columns."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def __len__(self):
+        return self.q.shape[1]
+
+    def __call__(self, x):
+        return np.sqrt(8.0) * self.q[np.minimum((8 * x).astype(int), 7)].T
+
+
+class TestChainLaw:
+    """The exact law of the chain on the grid.  With a basis constant on 8
+    blocks of [0, 1], and grid cells that split the blocks, the block set of a
+    sample is the discrete DPP of K = Q diag(lam) Q^T on the 8 blocks:
+    P(X = S) = |det(K - I_{S^c})|.  A chi-square test over all sets, the sets
+    of fewer than 5 expected samples pooled, rejects at the 0.1% level."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lams", [(1.0, 1.0, 1.0), (1.0, 0.5, 0.3)], ids=["projection", "mixture"])
+    def test_block_sets_follow_the_discrete_dpp(self, lams, seed):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)))
+        lam = np.asarray(lams)
+        kern = kernels.SpectralKernel(lam, EightBlocks(q), -1, Window(0, 1))
+        reps = 20_000
+        batch = samplers.sample_dpp_mixture_batch(kern, reps, seed, nodes_per_unit=1024)
+        blocks = [np.floor(8 * c.points).astype(int) for c in batch]
+        # the kernel has rank 1 on a block, so no block holds two points
+        assert all(np.unique(b).size == b.size for b in blocks)
+        # set S is the integer with bit i set for each block i in S
+        observed = np.bincount([np.sum(2 ** b) for b in blocks], minlength=256)
+        big = (q * lam) @ q.T
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        p = np.abs(np.linalg.det(big - np.eye(8) * (1 - bits)[:, None, :]))
+        assert abs(p.sum() - 1) < 1e-12
+        possible = p > 1e-12
+        assert observed[~possible].sum() == 0
+        expected = reps * p[possible]
+        pooled = expected < 5
+        obs = np.append(observed[possible][~pooled], observed[possible][pooled].sum())
+        exp = np.append(expected[~pooled], expected[pooled].sum())
+        stat = np.sum((obs - exp) ** 2 / exp)
+        assert stat < chi2.ppf(0.999, exp.size - 1)
 
 
 class TestProjectionSamplerErrors:
@@ -859,6 +931,33 @@ class TestSerialization:
         back, _ = samplers.load_batch_csv(path)
         assert [c.points.tolist() for c in back] == [[0.125, 0.5], [], [0.25, 0.75]]
 
+    def write(self, tmp_path, rows):
+        path = tmp_path / "batch.csv"
+        header = json.dumps({"n_replicates": 2, "window": [0.0, 1.0]})
+        path.write_text("\n".join([f"# ppoptics-batch {header}", "replicate_id,t", *rows]) + "\n")
+        return path
+
+    def test_load_sorts_an_unsorted_replicate(self, tmp_path):
+        path = self.write(tmp_path, ["0,0.5", "0,0.25", "1,0.125", "1,0.75"])
+        back, _ = samplers.load_batch_csv(path)
+        assert [c.points.tolist() for c in back] == [[0.25, 0.5], [0.125, 0.75]]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0.25", "1,0.5", "1,0.5"], "configuration must be simple"),
+        (["0,0.25", "1,0.75", "1,0.5", "1,0.75"], "configuration must be simple"),
+        (["0,0.25", "1,1.5"], "points outside the window"),
+        (["0,-0.25", "1,0.5"], "points outside the window"),
+        (["0,0.25", "1,nan"], "points outside the window"),
+    ], ids=["duplicate", "unsorted-duplicate", "above", "below", "nan"])
+    def test_load_refuses_what_the_constructor_refuses(self, tmp_path, rows, message):
+        with pytest.raises(ValueError, match=message):
+            samplers.load_batch_csv(self.write(tmp_path, rows))
+
+    def test_loaded_replicates_share_no_memory(self, tmp_path):
+        path = self.write(tmp_path, ["0,0.25", "0,0.5", "1,0.125", "1,0.75"])
+        back, _ = samplers.load_batch_csv(path)
+        assert not np.shares_memory(back[0].points, back[1].points)
+
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -883,24 +982,53 @@ class TestSerialization:
             assert np.array_equal(got.points, want.points)
 
 
+# one small batch of each family at seed 11, by its replicate count
+SAMPLE_FAMILIES = {
+    "poisson": lambda reps: samplers.sample_poisson_batch(
+        lambda t: 50.0 * np.sin(3 * t) ** 2, 50.0, Window(0, 1), reps, 11),
+    "permanental": lambda reps: samplers.sample_permanental_batch(
+        0.1, 25.0, Window(0, 1), reps, 11),
+    "dpp-mixture": lambda reps: samplers.sample_dpp_mixture_batch(
+        kernels.SpectralKernel([0.9, 0.5, 0.2], kernels.hermite_projection_kernel(3).basis,
+                               -1, Window(-6, 6)), reps, 11, nodes_per_unit=256),
+    "fock": lambda reps: samplers.sample_fock_pp_batch(
+        lambda t: np.exp(-((t - 0.5) ** 2) / 0.09), 3, Window(0, 1), reps, 11),
+}
+
+
+def no_draw(seed, reps, block):
+    raise AssertionError("spawned before checking the replicate count")
+
+
 @pytest.mark.parametrize("family", ["poisson", "permanental", "dpp-mixture", "fock"])
 @pytest.mark.parametrize("reps", [10**13, samplers._MAX_REPLICATES + 1, -1])
 def test_replicate_cap_refused_before_drawing(family, reps, monkeypatch):
     # refused before the first block's child generator is spawned: nothing may be drawn
-    def no_draw(seed, reps, block):
-        raise AssertionError("spawned before checking the replicate count")
-
     monkeypatch.setattr(samplers, "_blocks", no_draw)
-    sample = {
-        "poisson": lambda: samplers.sample_poisson_batch(np.ones_like, 1.0, Window(0, 1), reps, 0),
-        "permanental": lambda: samplers.sample_permanental_batch(0.1, 25.0, Window(0, 1), reps, 0),
-        "dpp-mixture": lambda: samplers.sample_dpp_mixture_batch(
-            kernels.hermite_projection_kernel(3), reps, 0),
-        "fock": lambda: samplers.sample_fock_pp_batch(np.ones_like, 3, Window(0, 1), reps, 0),
-    }[family]
     why = "above the limit" if reps > 0 else "the count must be nonnegative"
     with pytest.raises(ValueError, match=f"{reps} replicates(,|:) {why}"):
-        sample()
+        SAMPLE_FAMILIES[family](reps)
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLE_FAMILIES))
+@pytest.mark.parametrize("reps", [2.5, 3.0, "3", None, True])
+def test_replicate_count_must_be_an_integer(family, reps, monkeypatch):
+    monkeypatch.setattr(samplers, "_blocks", no_draw)
+    with pytest.raises(ValueError, match=rf"reps must be an integer, got {reps!r}"):
+        SAMPLE_FAMILIES[family](reps)
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLE_FAMILIES))
+def test_numpy_integer_replicate_count(family):
+    assert len(SAMPLE_FAMILIES[family](np.int64(3))) == 3
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, np.nan, "3", True])
+def test_fock_point_count_must_be_an_integer(k):
+    with pytest.raises(ValueError, match=rf"k must be a positive integer, got {k!r}"):
+        samplers.sample_fock_pp_batch(np.ones_like, k, Window(0, 1), 2, 0)
+    assert [len(c) for c in samplers.sample_fock_pp_batch(
+        np.ones_like, np.int32(3), Window(0, 1), 2, 0)] == [3, 3]
 
 
 @pytest.mark.parametrize("family, budget, replicate_bytes", [
@@ -919,20 +1047,21 @@ def test_blocks_regenerate_from_the_seed_alone(family, budget, replicate_bytes, 
     # the batches small
     block = 4
     monkeypatch.setattr(samplers, budget, block * replicate_bytes)
-    sample = {
-        "poisson": lambda reps: samplers.sample_poisson_batch(
-            lambda t: 50.0 * np.sin(3 * t) ** 2, 50.0, Window(0, 1), reps, 11),
-        "permanental": lambda reps: samplers.sample_permanental_batch(
-            0.1, 25.0, Window(0, 1), reps, 11),
-        "dpp-mixture": lambda reps: samplers.sample_dpp_mixture_batch(
-            kernels.SpectralKernel([0.9, 0.5, 0.2], kernels.hermite_projection_kernel(3).basis,
-                                   -1, Window(-6, 6)), reps, 11, nodes_per_unit=256),
-        "fock": lambda reps: samplers.sample_fock_pp_batch(
-            lambda t: np.exp(-((t - 0.5) ** 2) / 0.09), 3, Window(0, 1), reps, 11),
-    }[family]
+    sample = SAMPLE_FAMILIES[family]
     short, long = sample(2 * block), sample(3 * block + 1)
     assert len(short) == 2 * block and len(long) == 3 * block + 1
     assert all(np.array_equal(a.points, b.points) for a, b in zip(short, long))
     # the third block differs from the first two: the children are distinct
     assert not all(np.array_equal(a.points, b.points)
                    for a, b in zip(long[2 * block:], long[:block]))
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLE_FAMILIES))
+def test_sampled_replicates_share_no_memory(family):
+    # each replicate's points are a buffer of their own, not a view into its block
+    batch = SAMPLE_FAMILIES[family](12)
+    assert sum(len(c) for c in batch) > 12
+    for i, a in enumerate(batch):
+        assert_simple_sorted(a)
+        assert a.points.base is None or a.points.base.nbytes == a.points.nbytes
+        assert not any(np.shares_memory(a.points, b.points) for b in batch[i + 1:])
