@@ -104,8 +104,11 @@ def cmd_sample(args, config: dict) -> int:
         c, s = args.center, args.width
         if not 0 < s < np.inf:
             raise ValueError(f"--width must be positive and finite, got {s}")
+        # exp(-(t - c)^2 / (4 s^2)), with |t - c| / 2 = |t/2 - c/2| capped at 30 s so
+        # that no finite c or s overflows: the cap only turns exp(-900 or less) into
+        # exp(-900), and both are 0
         batch = samplers.sample_fock_pp_batch(
-            lambda t: np.exp(-((t - c) ** 2) / (4.0 * s**2)),
+            lambda t: np.exp(-((np.minimum(np.abs(t / 2 - c / 2), 30 * s) / s) ** 2)),
             args.k,
             w,
             args.reps,
@@ -147,7 +150,13 @@ def cmd_pcf(args, config: dict) -> int:
     estimators.check_pcf_bins(args.bins, len(batch))
     length = samplers.batch_window(batch).length
     rmax = args.rmax or length / 4.0
-    est = estimators.estimate_pcf(batch, np.linspace(0.0, rmax, args.bins + 1))
+    edges = np.linspace(0.0, rmax, args.bins + 1)
+    # a bin of zero width has no Poisson normalisation, and the estimator bins by
+    # the factor bins / rmax
+    if not (args.bins / rmax < np.inf and (edges[1:] > edges[:-1]).all()):
+        raise ValueError(f"rmax = {rmax!r} is too small for {args.bins} bins: each bin "
+                         "must have a positive width, and bins / rmax must be finite")
+    est = estimators.estimate_pcf(batch, edges)
     if args.theory == "poisson":
         g_theory = np.ones(args.bins)
     elif args.theory:

@@ -4,13 +4,11 @@ Gaussian field, of covariance 2 exp(-|tau|/sigma) e^{i omega tau}.
 The field is e^{i omega t} A(t) with A a complex Ornstein-Uhlenbeck process,
 so |E|^2 = |A|^2 depends on the envelope time sigma alone, never on the
 carrier omega (Macchi 1975).  `_intensity_sampler(sigma, n, dt)` draws it by
-the exact AR(1) recursion of A (Gillespie 1996), on a grid that must resolve
-sigma, for a block of replicates from one generator (block b of a batch draws
-from child b of its seed).  When no grid density is given,
-`permanental_nodes_per_unit` sets it from sigma; `check_sigma` checks sigma.
+the exact AR(1) recursion of A (Gillespie 1996), on a grid whose cell is at
+most sigma / 4, for a block of replicates from one generator.  The module
+defines no public name: `samplers` checks sigma, sets the default grid and
+runs the Cox step on what this draw returns.
 """
-
-import math
 
 import numpy as np
 
@@ -67,35 +65,6 @@ def _ou_recursion(n: int, r: float):
 # to 3 sigma (1500 replicates, scale 100, two seeds) came out 1.9-2.4 at
 # cell / sigma 0.125, 2.0 at 0.25, 2.4 at 0.31, 2.9 at 0.49 and 6-7 at 0.75
 _MAX_CELL_PER_SIGMA = 0.25
-# cells per sigma of the grid when no density is given.  The exact bin expectation
-# of the estimated pcf on the grid departs from the continuous one, for bins sigma/20
-# wide up to 3 sigma, by at most 1.5e-3, 3.5e-4, 1.3e-4, 8.3e-5, 3.3e-5 and 2.1e-6 at
-# 16, 32, 51, 64, 102 and 410 cells per sigma.  Sampled through `pcf --theory` (sigma
-# 0.01, scale 25, 20,000 replicates, seeds 5 and 6), the worst |z| over those bins came
-# out 2.7 and 2.5 at 16 cells per sigma, 1.7 and 2.5 at 32, and 2.1 and 2.3 at 64
-_CELLS_PER_SIGMA = 64
-
-
-def check_sigma(sigma: float):
-    """Refuse an envelope time sigma that is not finite and positive (NaN included)."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-
-def permanental_nodes_per_unit(sigma: float) -> int:
-    """The grid density of a permanental draw of envelope time sigma when none is
-    given: ceil(_CELLS_PER_SIGMA / sigma) nodes per unit length.
-
-    A sigma so small that the density is not a finite float raises ValueError.
-    """
-    check_sigma(sigma)
-    per_unit = _CELLS_PER_SIGMA / sigma
-    if not per_unit < np.inf:
-        raise ValueError(
-            f"sigma={sigma:g} asks for {_CELLS_PER_SIGMA} / sigma = {per_unit:g} nodes per "
-            "unit, more than any grid holds"
-        )
-    return math.ceil(per_unit)
 
 
 def _intensity_sampler(sigma: float, n: int, dt: float):

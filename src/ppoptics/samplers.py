@@ -1,4 +1,4 @@
-"""Samplers for Poisson, Cox, permanental, determinantal, and fixed-count
+"""Samplers for Poisson, permanental (Cox), determinantal, and fixed-count
 i.i.d. point processes on an interval, plus batch CSV I/O.
 
 The sampler API is batch-only: each family has one `sample_*_batch`
@@ -6,21 +6,22 @@ function, and a single draw is `reps=1`.  There is one seeding rule: a
 batch runs its replicates in blocks, and block b draws from child b of
 `SeedSequence(seed)` (`_blocks`), so the private byte budget that sets the
 block size is part of the stream.  No batch holds more than
-_MAX_REPLICATES replicates.  `sample_cox` is the exception: it draws once
-on a given intensity path, from a seed or a `Generator`.
+_MAX_REPLICATES replicates, and no Poisson, permanental or fixed-count
+replicate expects more than _MAX_MEAN_COUNT points (`_check_mean_count`).
 
-The permanental and fixed-count samplers and `sample_cox` share one Cox
-step (`_draw_cells`): per block, every cell uniform in one draw and one
-search, then every jitter in one more, then `_configurations` sorts each
+The permanental and fixed-count samplers share one Cox step
+(`_draw_cells`): per block, every cell uniform in one draw and one search,
+then every jitter in one more, then `_configurations` sorts each
 replicate, checks the block's window once and builds each configuration
-unchecked.  A
-permanental replicate is a draw of |E+|^2, the squared modulus of the
-Lorentz-line complex Gaussian field, followed by that Cox step.  Its law
+unchecked.  A permanental replicate is a draw of |E+|^2, the squared
+modulus of the Lorentz-line complex Gaussian field, followed by that Cox
+step: the permanental process is a Cox process (Macchi 1975).  Its law
 depends on the envelope time sigma alone, so sigma is the sampler's
-parameter: the intensity is drawn by the exact AR(1) recursion of the
-field's envelope, on a grid whose cell resolves sigma.  A block draws its
-normals in one call, runs one recursion and one pass of cell masses,
-totals and cumulative sums, and takes its counts from one Poisson draw.
+parameter (`check_sigma`): the intensity is drawn by the exact AR(1)
+recursion of the field's envelope (`gaussian_field`), on a grid whose cell
+resolves sigma.  A block draws its normals in one call, runs one recursion
+and one pass of cell masses, totals and cumulative sums, and takes its
+counts from one Poisson draw.
 
 Every continuous sampler runs on one dense uniform `CellGrid` over the
 window (inverse-CDF draws with uniform jitter inside a cell).  The
@@ -30,7 +31,7 @@ number of cells per sigma (`permanental_nodes_per_unit`), because its
 discretisation error depends on cells per sigma, not per unit length.  The
 permanental field is drawn at the same cell centers and nowhere outside
 the window: a stationary field's law on the window does not depend on what
-lies beyond it.  `sample_cox` takes its window from the grid.
+lies beyond it.
 
 Every determinantal kernel is a Bernoulli mixture of projections (Hough,
 Krishnapur, Peres and Virag 2006, Thm. 7; Lavancier, Moller and Rubak
@@ -53,20 +54,26 @@ chain evaluates the feature map at each round's proposals.
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_field import (
-    _CELLS_PER_SIGMA, _intensity_sampler, check_sigma, permanental_nodes_per_unit,
-)
+from .gaussian_field import _intensity_sampler
 from .kernels import SpectralKernel, Window
 
 
 # grid density of the determinantal and fixed-count samplers, in the library and
 # the CLI, unless given; the permanental default follows sigma instead
 DEFAULT_NODES_PER_UNIT = 4096
+# cells per sigma of the grid when no density is given.  The exact bin expectation
+# of the estimated pcf on the grid departs from the continuous one, for bins sigma/20
+# wide up to 3 sigma, by at most 1.5e-3, 3.5e-4, 1.3e-4, 8.3e-5, 3.3e-5 and 2.1e-6 at
+# 16, 32, 51, 64, 102 and 410 cells per sigma.  Sampled through `pcf --theory` (sigma
+# 0.01, scale 25, 20,000 replicates, seeds 5 and 6), the worst |z| over those bins came
+# out 2.7 and 2.5 at 16 cells per sigma, 1.7 and 2.5 at 32, and 2.1 and 2.3 at 64
+_CELLS_PER_SIGMA = 64
 # largest expected point count per replicate of the Poisson, permanental and
 # fixed-count samplers; each replicate holds a few float arrays of about this length
 _MAX_MEAN_COUNT = 1e7
@@ -115,6 +122,28 @@ class CellGrid:
         self.n = max(1024, int(round(cells)))
         self.cell = window.length / self.n
         self.centers = window.a + (np.arange(self.n) + 0.5) * self.cell
+
+
+def check_sigma(sigma: float):
+    """Refuse an envelope time sigma that is not finite and positive (NaN included)."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
+def permanental_nodes_per_unit(sigma: float) -> int:
+    """The grid density of a permanental draw of envelope time sigma when none is
+    given: ceil(_CELLS_PER_SIGMA / sigma) nodes per unit length.
+
+    A sigma so small that the density is not a finite float raises ValueError.
+    """
+    check_sigma(sigma)
+    per_unit = _CELLS_PER_SIGMA / sigma
+    if not per_unit < np.inf:
+        raise ValueError(
+            f"sigma={sigma:g} asks for {_CELLS_PER_SIGMA} / sigma = {per_unit:g} nodes per "
+            "unit, more than any grid holds"
+        )
+    return math.ceil(per_unit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +206,16 @@ def _check_replicates(reps: int):
         raise ValueError(f"{reps} replicates: the count must be nonnegative")
     if reps > _MAX_REPLICATES:
         raise ValueError(f"{reps} replicates, above the limit of {_MAX_REPLICATES}")
+
+
+def _check_mean_count(mean, what: str):
+    """Refuse `what` = mean expected points per replicate above _MAX_MEAN_COUNT,
+    before any draw; a NaN or infinite mean is refused too."""
+    if not mean <= _MAX_MEAN_COUNT:
+        # an integer is shown exactly: one beyond the float range has no :g
+        shown = mean if _is_integer(mean) else f"{mean:g}"
+        raise ValueError(f"{what} = {shown} expected points per replicate, above the "
+                         f"limit of {_MAX_MEAN_COUNT:g}")
 
 
 def _blocks(seed, reps: int, block: int):
@@ -261,7 +300,7 @@ def _configurations(pts, counts, grid: CellGrid, rng) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Poisson and Cox
+# Poisson
 
 
 def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
@@ -271,11 +310,7 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     if not 0 < rate_max < np.inf:
         raise ValueError(f"rate_max must be positive and finite, got {rate_max}")
     mean = rate_max * w.length
-    if not mean <= _MAX_MEAN_COUNT:
-        raise ValueError(
-            f"rate_max * window length = {mean:g} expected points per replicate, above "
-            f"the limit of {_MAX_MEAN_COUNT:g}"
-        )
+    _check_mean_count(mean, "rate_max * window length")
     # about this share of the points falls on a float64 value already taken and
     # is merged by np.unique: at most 1e-9 for a window [0, b] under the mean cap
     spacing = np.spacing(max(abs(w.a), abs(w.b)))
@@ -308,36 +343,6 @@ def sample_poisson_batch(rate_fn, rate_max, w: Window, reps: int, seed) -> list:
     return out
 
 
-def sample_cox(intensity, grid: CellGrid, scale: float, seed) -> PointConfiguration:
-    """Poisson sample on grid.window conditional on a realized intensity path.
-
-    `intensity` is the finite, nonnegative path (e.g. |E+|^2) on the grid
-    cells, piecewise constant; the rate is scale * intensity.  An expected
-    count scale * sum(intensity) * cell above _MAX_MEAN_COUNT is refused.
-    `seed` is a seed or a `Generator`, which is drawn from in place, by the
-    Cox step the batch samplers run on each block (one replicate here).
-    """
-    rng = np.random.default_rng(seed)
-    intensity = np.asarray(intensity, dtype=float)
-    if not scale >= 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
-    if intensity.shape != (grid.n,):
-        raise ValueError("intensity path must live on the grid")
-    if not np.isfinite(intensity).all():
-        raise ValueError("intensity path must be finite")
-    if np.any(intensity < 0):
-        raise ValueError("intensity path must be nonnegative")
-    masses = scale * intensity * grid.cell
-    total = masses.sum()
-    # an infinite scale or an overflowing mass fails this too
-    if not total <= _MAX_MEAN_COUNT:
-        raise ValueError(
-            f"scale * intensity mass = {total:g} expected points, above the limit of "
-            f"{_MAX_MEAN_COUNT:g}"
-        )
-    return _draw_cells(np.cumsum(masses), total, [rng.poisson(total)], grid, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # Permanental (Cox process driven by a squared complex Gaussian field)
 
@@ -350,8 +355,8 @@ def sample_permanental_batch(
 
     Each replicate draws |E+|^2 of the circularly-symmetric complex Gaussian
     field at the window's cell centers, by the AR(1) recursion of its
-    envelope, then the Cox step at rate scale * |E+|^2 (what `sample_cox`
-    does).  Block b of `_COX_BLOCK_BYTES` draws from child b of the seed, so that
+    envelope, then the Cox step (`_draw_cells`) at rate scale * |E+|^2.
+    Block b of `_COX_BLOCK_BYTES` draws from child b of the seed, so that
     budget is part of the stream: all its normals, its counts in one Poisson
     draw, then its cell uniforms and its jitters.  The grid density defaults
     to `permanental_nodes_per_unit(sigma)`.  More than
@@ -364,12 +369,7 @@ def sample_permanental_batch(
     if not scale >= 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     # E|E+|^2 = 2, the covariance at zero lag
-    mean = 2 * scale * w.length
-    if not mean <= _MAX_MEAN_COUNT:
-        raise ValueError(
-            f"2 * scale * window length = {mean:g} expected points per replicate, above "
-            f"the limit of {_MAX_MEAN_COUNT:g}"
-        )
+    _check_mean_count(2 * scale * w.length, "2 * scale * window length")
     if nodes_per_unit is None:
         nodes_per_unit = permanental_nodes_per_unit(sigma)
         cells = nodes_per_unit * w.length
@@ -619,8 +619,7 @@ def sample_fock_pp_batch(
     _check_replicates(reps)
     if not _is_integer(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > _MAX_MEAN_COUNT:
-        raise ValueError(f"k = {k} points per replicate, above the limit of {_MAX_MEAN_COUNT:g}")
+    _check_mean_count(k, "k")
     grid = CellGrid(w, nodes_per_unit)
     amplitudes = np.asarray(phi_plus(grid.centers), dtype=complex)
     if amplitudes.shape != grid.centers.shape:

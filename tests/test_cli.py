@@ -126,6 +126,24 @@ class TestSample:
         batch, _ = load_batch_csv(out)
         assert all(len(c) == 5 for c in batch)
 
+    @pytest.mark.parametrize("envelope", [["--width", "1e200"], ["--width", "1e300"],
+                                          ["--center", "1e308", "--width", "1e308"]],
+                             ids=["width-1e200", "width-1e300", "center-and-width-1e308"])
+    def test_fock_flat_envelope_samples_uniformly(self, envelope, tmp_path, capsys):
+        # an envelope far wider than the window is flat on it: no overflow, no warning
+        out = tmp_path / "fock.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--family", "fock", *envelope, "--reps", "200",
+                        "--seed", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        batch, _ = load_batch_csv(out)
+        pts = np.concatenate([c.points for c in batch])
+        assert pts.size == 5 * 200
+        # uniform on [0, 1]: mean 1/2, standard error 0.289 / sqrt(1000)
+        assert abs(pts.mean() - 0.5) < 4 * 0.289 / np.sqrt(pts.size)
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.DEFAULT_OUTDIR_ENV, str(tmp_path))
         code = run([
@@ -238,6 +256,15 @@ class TestPcf:
             ]
             got = estimators.expected_pcf(edges, length, sigma)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sigma, g", [(5e-324, 1.0), (1e300, 2.0)])
+    def test_theory_curve_at_extreme_sigma(self, sigma, g):
+        # 1 + exp(-2r/sigma) is 1 past r = 0 at the smallest sigma and 2 at a huge one,
+        # and no step of the closed form overflows or cancels on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimators.expected_pcf(np.linspace(0.0, 0.25, 51), 1.0, sigma)
+        np.testing.assert_allclose(got, g, rtol=1e-15, atol=0.0)
 
     def test_theory_column_is_the_estimators_bin_expectation(self, tmp_path):
         # `--theory permanental:sigma=s` writes estimators.expected_pcf on the pcf's
@@ -389,6 +416,13 @@ class TestUserErrors:
         ["sample", "--family", "projection-dpp", "--kernel", "hermite:N=10,nmodes=3",
          "--window-from-kernel"],
         ["pcf", "--batch", "{batch}", "--theory", "permanental:sigma=0.1,sgima=5"],
+        # an envelope far narrower than a cell, or centred far off the window: no
+        # cell has any mass, and evaluating it neither overflows nor warns
+        ["sample", "--family", "fock", "--width", "1e-200"],
+        ["sample", "--family", "fock", "--center", "1e300"],
+        # 50 bins over [0, 5e-324] have zero width; over [0, 1e-310], 50 / rmax overflows
+        ["pcf", "--batch", "{batch}", "--rmax", "5e-324"],
+        ["pcf", "--batch", "{batch}", "--rmax", "1e-310"],
     ], ids=["reversed-window", "permanental-unresolved-sigma", "projection-non-spectral",
             "mixture-non-spectral", "infinite-mode-count", "overflowing-mode-count",
             "fractional-mode-count", "nan-mixture-eigenvalue", "rmax-beyond-window", "zero-bins", "too-many-bins", "unknown-theory",
@@ -410,7 +444,8 @@ class TestUserErrors:
             "permanental-default-grid-too-many-cells", "fock-too-many-points",
             "permanental-too-many-points", "permanental-far-window",
             "poisson-far-window", "hermite-two-mode-counts", "hermite-unknown-key",
-            "theory-unknown-key"])
+            "theory-unknown-key", "fock-tiny-width", "fock-far-center", "rmax-zero-width-bins",
+            "rmax-overflowing-bin-factor"])
     def test_json_error_exit_2(self, argv, batches, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = [a.format(**batches) for a in argv] + ["--out", str(out)]

@@ -209,47 +209,6 @@ class TestPoisson:
         assert all(np.array_equal(x.points, y.points) for x, y in zip(a, b))
 
 
-class TestCox:
-    def test_constant_path_reduces_to_poisson(self):
-        grid = CellGrid(Window(0, 1), 1024)
-        path = np.full(grid.n, 3.0)
-        reps = 4000
-        counts = []
-        for s in range(reps):
-            c = samplers.sample_cox(path, grid, 10.0, s)
-            counts.append(len(c))
-        counts = np.asarray(counts, dtype=float)
-        assert abs(counts.mean() - 30.0) < 3 * np.sqrt(30.0 / reps)
-        assert 0.93 < counts.var(ddof=1) / counts.mean() < 1.07
-
-    def test_zero_scale_empty(self):
-        grid = CellGrid(Window(0, 1), 1024)
-        c = samplers.sample_cox(np.ones(grid.n), grid, 0.0, 0)
-        assert len(c) == 0
-
-    def test_nan_scale_rejected(self):
-        grid = CellGrid(Window(0, 1), 1024)
-        with pytest.raises(ValueError, match="scale"):
-            samplers.sample_cox(np.ones(grid.n), grid, np.nan, 0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_path_rejected(self, bad):
-        grid = CellGrid(Window(0, 1), 1024)
-        path = np.ones(grid.n)
-        path[17] = bad
-        with pytest.raises(ValueError, match="intensity path must be finite"):
-            samplers.sample_cox(path, grid, 1.0, 0)
-
-    @pytest.mark.parametrize("scale", [1e12, samplers._MAX_MEAN_COUNT * (1 + 1e-9), np.inf],
-                             ids=["1e12", "just-over", "inf"])
-    def test_mean_count_cap(self, scale):
-        # 1e12 expected points would need 7.28 TiB of uniforms; an infinite scale
-        # has no count at all
-        grid = CellGrid(Window(0, 1), 1024)
-        with pytest.raises(ValueError, match="expected points, above the limit"):
-            samplers.sample_cox(np.ones(grid.n), grid, scale, 0)
-
-
 class TestJoinedInverseCdf:
     """One search over a block's CDFs laid end to end finds the cells that one
     `_inverse_cdf` per row finds."""
@@ -371,6 +330,12 @@ class TestPermanental:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             samplers.sample_permanental_batch(0.1, -1.0, Window(0, 1), 2, 0)
+        with pytest.raises(ValueError, match="scale"):
+            samplers.sample_permanental_batch(0.1, np.nan, Window(0, 1), 2, 0)
+
+    def test_zero_scale_empty(self):
+        batch = samplers.sample_permanental_batch(0.1, 0.0, Window(0, 1), 3, 0)
+        assert [len(c) for c in batch] == [0, 0, 0]
 
     def test_default_grid_of_a_subnormal_sigma_refused(self):
         # 64 / sigma overflows to inf: no grid density, and a ValueError, not an OverflowError
@@ -394,6 +359,9 @@ class TestPermanental:
         at_cap = samplers._MAX_MEAN_COUNT / 2 * (1 + 1e-9)
         with pytest.raises(ValueError, match="expected points"):
             samplers.sample_permanental_batch(0.1, at_cap, Window(0, 1), 1, 0)
+        # an infinite scale has no count at all
+        with pytest.raises(ValueError, match="expected points"):
+            samplers.sample_permanental_batch(0.1, np.inf, Window(0, 1), 1, 0)
 
 
 class TestProjectionDpp:
