@@ -330,6 +330,8 @@ class TestPermanental:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             samplers.sample_permanental_batch(0.1, -1.0, Window(0, 1), 2, 0)
+
+    def test_nan_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             samplers.sample_permanental_batch(0.1, np.nan, Window(0, 1), 2, 0)
 
