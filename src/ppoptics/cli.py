@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -140,23 +141,11 @@ def cmd_pcf(args, config: dict) -> int:
     batch_path = _resolve_out(args.batch)
     if not os.path.exists(batch_path):
         raise ValueError(f"batch file {batch_path} not found")
-    if args.bins < 1:
-        raise ValueError(f"--bins must be at least 1, got {args.bins}")
-    if args.rmax is not None and not 0 < args.rmax < np.inf:
-        raise ValueError(f"--rmax must be positive and finite, got {args.rmax}")
     batch, meta = samplers.load_batch_csv(batch_path)
     if not batch:
         raise ValueError(f"batch file {batch_path} has no replicates")
-    estimators.check_pcf_bins(args.bins, len(batch))
+    est = estimators.estimate_pcf(batch, args.bins, args.rmax)
     length = samplers.batch_window(batch).length
-    rmax = args.rmax or length / 4.0
-    edges = np.linspace(0.0, rmax, args.bins + 1)
-    # a bin of zero width has no Poisson normalisation, and the estimator bins by
-    # the factor bins / rmax
-    if not (args.bins / rmax < np.inf and (edges[1:] > edges[:-1]).all()):
-        raise ValueError(f"rmax = {rmax!r} is too small for {args.bins} bins: each bin "
-                         "must have a positive width, and bins / rmax must be finite")
-    est = estimators.estimate_pcf(batch, edges)
     if args.theory == "poisson":
         g_theory = np.ones(args.bins)
     elif args.theory:
@@ -165,7 +154,7 @@ def cmd_pcf(args, config: dict) -> int:
         g_theory = None
     header = "# ppoptics-pcf " + json.dumps(
         {"batch": os.path.basename(batch_path), "batch_meta": meta, "bins": args.bins,
-         "rmax": rmax, "theory": args.theory},
+         "rmax": float(est.bin_edges[-1]), "theory": args.theory},
         sort_keys=True,
     )
     out = _resolve_out(args.out)
@@ -418,8 +407,26 @@ def cmd_verify(args, config: dict) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes '-8' and '-0.5' for values but '-1e-3' for an option; no
+        # option name here looks like a number, so every negative number is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ValueError(message)  # a bad, missing or unknown argument: see `main`
+
+
+def _seed(text: str) -> int:
+    """A --seed value, a nonnegative integer: refused here, the error names the
+    flag, which numpy's refusal of a negative seed does not."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
 
 
 @functools.cache
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--window-from-kernel", action="store_true",
                           help="use the kernel's natural domain as the window")
     p_sample.add_argument("--reps", type=int, default=100)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_seed, default=0)
     p_sample.add_argument("--rate", type=float, help="poisson: constant rate")
     p_sample.add_argument("--sigma", type=float, default=0.1, help="permanental envelope")
     p_sample.add_argument("--omega", type=float, default=100.0,
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--cases", type=int, default=60)
     p_verify.add_argument("--n", type=int, default=8)
     p_verify.add_argument("--reps", type=int, default=5000)

@@ -13,12 +13,13 @@ flat[i + k] - flat[i] of one lag are binned together, and a left end i
 leaves the sweep once its distance passes the last edge.  Within a
 replicate the distance only grows with k, and the +inf ends the sweep of
 every i before i + k reaches the next replicate, so only the pairs within
-the last edge are formed, one lag at a time.  Bins follow `np.histogram`
-with array edges: [e_m, e_m+1), the last bin closed on the right; values
-outside [e_0, e_last] are not counted, and decreasing edges raise
-ValueError.
+the last edge are formed, one lag at a time.
 
-`check_pcf_bins` caps the (replicates, bins) table of pair counts.
+The bins are uniform over [0, rmax], the edges np.linspace(0, rmax, bins + 1),
+each bin [e_m, e_m+1) with the last one closed on the right, as
+`np.histogram` bins them.  `estimate_pcf` builds them and refuses, before any
+edge or count is allocated, a bin count or rmax that cannot make them: it
+caps the (replicates, bins) table of pair counts too.
 `expected_pcf` is the theory side: what `estimate_pcf` expects in each bin
 for the Lorentz-line permanental process, in closed form.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import batch_window
+from .samplers import _is_integer, batch_window
 
 # most entries of the (replicates, bins) pair-count table of `estimate_pcf`, which
 # peaks at about 17 bytes per entry: about 270 MiB at the limit
@@ -59,14 +60,6 @@ class PcfEstimate:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _bin_edges(edges) -> np.ndarray:
-    """`edges` as floats; like `np.histogram`, refuses decreasing edges."""
-    edges = np.asarray(edges, dtype=float)
-    if (edges[1:] < edges[:-1]).any():
-        raise ValueError("`bins` must increase monotonically, when an array")
-    return edges
-
-
 def _flat_points(batch):
     """The points of every replicate end to end, each replicate followed by one
     +inf, and the replicate index of every entry."""
@@ -77,27 +70,22 @@ def _flat_points(batch):
 
 
 def _bin_index(edges):
-    """The map values -> np.searchsorted(edges[:-1], values, side="right"): a
-    value's bin plus one, 0 below the first edge.
+    """The map values -> np.searchsorted(edges[:-1], values, side="right") for
+    the uniform edges np.linspace(0, rmax, bins + 1): a value's bin plus one, 0
+    for a negative value.
 
-    When `edges` is exactly np.linspace(edges[0], edges[-1], edges.size), as
-    `estimate_pcf`'s default and the CLI build them, the index is guessed from
-    the bin width and then moved by at most one, after one comparison with the
-    edge on each side; the guess is off by at most one, since only a few
-    roundings separate it from the exact quotient.  Other edges are searched.
+    The index is guessed from the bin width and then moved by at most one, after
+    one comparison with the edge on each side; the guess is off by at most one,
+    since only a few roundings separate it from the exact quotient.
     """
     m = edges.size
-    uniform = np.linspace(edges[0], edges[-1], m)
-    if not (edges[-1] > edges[0] and np.array_equal(edges, uniform)):
-        return lambda values: np.searchsorted(edges[:-1], values, side="right")
     # the guess stays in [0, m - 2]; only the step up reaches m - 1
     below = np.concatenate([[-np.inf], edges[:-2]])
     above = edges[:-1]
-    start, per_width = edges[0], (m - 1) / (edges[-1] - edges[0])
+    per_width = (m - 1) / edges[-1]
 
     def index(values):
-        q = values - start
-        q *= per_width
+        q = values * per_width
         q += 1.0
         np.clip(q, 0, m - 2, out=q)
         b = q.astype(np.intp)
@@ -125,42 +113,41 @@ def _pair_counts(flat, rid, edges, reps: int) -> np.ndarray:
         d -= flat[i]
         near = d <= edges[-1]
         i = i[near]
-        b, base_i = index(d[near]), base[i]
-        # b is 0 below the first edge.  The mask is built only then (never for a
-        # first edge <= 0): masks on every lag raised the thermal peak RSS by
-        # about 1 MiB
-        if b.min(initial=1) == 0:
-            inside = b > 0
-            b, base_i = b[inside], base_i[inside]
-        b += base_i
+        # every distance is > 0, so its bin plus one is at least 1
+        b = index(d[near])
+        b += base[i]
         b -= 1
         counts += np.bincount(b, minlength=counts.size)
         k += 1
     return counts.reshape(reps, -1)
 
 
-def check_pcf_bins(bins: int, reps: int):
-    """Refuse a pair-count table of `bins` bins for `reps` replicates above
-    _MAX_PCF_COUNTS entries, before any edge or count is allocated."""
+def estimate_pcf(batch, bins: int = 50, rmax: float | None = None) -> PcfEstimate:
+    """Pair-correlation estimate for a translation-invariant process over `bins`
+    uniform bins of [0, rmax]; rmax defaults to the window length / 4."""
+    length = batch_window(batch).length
+    reps = len(batch)
+    if not _is_integer(bins) or bins < 1:
+        raise ValueError(f"bins must be an integer of at least 1, got {bins!r}")
+    # Python numbers, so that bins / rmax below overflows to inf without a warning
+    bins, rmax = int(bins), float(length / 4.0 if rmax is None else rmax)
+    if not 0 < rmax < np.inf:
+        raise ValueError(f"rmax must be positive and finite, got {rmax!r}")
+    if rmax > length:
+        raise ValueError("bins extend beyond the window length")
     if bins * reps > _MAX_PCF_COUNTS:
         raise ValueError(
             f"{bins} bins x {reps} replicates = {bins * reps} pair counts, above the "
             f"limit of {_MAX_PCF_COUNTS}"
         )
-
-
-def estimate_pcf(batch, bin_edges=None) -> PcfEstimate:
-    """Pair-correlation estimate for a translation-invariant process; the
-    default bins are 50 uniform ones over [0, window length / 4]."""
-    w = batch_window(batch)
-    if bin_edges is None:
-        bin_edges = np.linspace(0.0, w.length / 4.0, 51)
-    edges = _bin_edges(bin_edges)
-    if edges[-1] > w.length:
-        raise ValueError("bins extend beyond the window length")
-    length = w.length
-    reps = len(batch)
-    check_pcf_bins(edges.size - 1, reps)
+    # a bin of zero width has no Poisson normalisation, and `_bin_index` bins by the
+    # factor bins / rmax.  A finite factor makes the step rmax / bins at least
+    # 2^-1024, far above the rounding of any of the (at most 2^24) edges i * step,
+    # so that it also gives every bin a positive width
+    if not bins / rmax < np.inf:
+        raise ValueError(f"rmax = {rmax!r} is too small for {bins} bins: each bin "
+                         "must have a positive width, and bins / rmax must be finite")
+    edges = np.linspace(0.0, rmax, bins + 1)
 
     flat, rid = _flat_points(batch)
     counts = _pair_counts(flat, rid, edges, reps).astype(float)

@@ -199,6 +199,20 @@ class TestSample:
             outs.append(rows)
         assert outs[0] == outs[1] and outs[0].count(b"\r\n") > 20
 
+    @pytest.mark.parametrize("family_args, key, want", [
+        (["fock", "--center", "-1e-3"], "center", -1e-3),
+        (["permanental", "--omega", "-1e5"], "omega", -1e5),
+        (["permanental", "--omega", "-1E5"], "omega", -1e5),
+        (["poisson", "--rate", "5", "--window", "-1e-3", "1"], "window", [-1e-3, 1.0]),
+        (["poisson", "--rate", "5", "--window", "-.5e-2", "1"], "window", [-0.5e-2, 1.0]),
+    ], ids=["center", "omega", "omega-capital-e", "window", "window-leading-point"])
+    def test_negative_values_in_exponent_form(self, family_args, key, want, tmp_path):
+        # argparse alone would take '-1e-3' for an option and miss the value
+        out = tmp_path / "batch.csv"
+        assert run(["sample", "--family", *family_args, "--reps", "5",
+                    "--out", str(out)]) == 0
+        assert load_batch_csv(out)[1][key] == want
+
 
 class TestPcf:
     def test_poisson_flat_exit_zero(self, tmp_path):
@@ -479,6 +493,20 @@ class TestUserErrors:
         assert captured.err.count("\n") == 1
         assert "error" in json.loads(captured.err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "poisson", "--rate", "5", "--seed", "-1", "--out", "{out}"],
+        ["verify", "wick", "--seed", "-1", "--out", "{out}"],
+    ], ids=["sample", "verify"])
+    def test_negative_seed_names_the_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run([a.format(out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "argument --seed: expected a nonnegative integer, got '-1'"}
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Estimator correctness: pcf normalization and binning; the sampled
 intensity and count statistics, from plain numpy histograms and variances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,16 +103,41 @@ class TestPcf:
     def test_bins_beyond_window_rejected(self):
         batch = poisson_batch(10.0, 10, seed=8)
         with pytest.raises(ValueError, match="beyond"):
-            estimators.estimate_pcf(batch, np.linspace(0, 2.0, 5))
+            estimators.estimate_pcf(batch, 4, 2.0)
 
     def test_count_table_cap_on_explicit_edges(self, monkeypatch):
         # a cap of 100 counts: 10 replicates fill it at 10 bins and pass it at 11
         monkeypatch.setattr(estimators, "_MAX_PCF_COUNTS", 100)
         batch = poisson_batch(10.0, 10, seed=8)
-        assert estimators.estimate_pcf(batch, np.linspace(0, 0.25, 11)).g_hat.size == 10
+        assert estimators.estimate_pcf(batch, 10, 0.25).g_hat.size == 10
         with pytest.raises(ValueError, match="11 bins x 10 replicates = 110 pair counts, "
                                              "above the limit of 100"):
-            estimators.estimate_pcf(batch, np.linspace(0, 0.25, 12))
+            estimators.estimate_pcf(batch, 11, 0.25)
+
+    @pytest.mark.parametrize("bins, rmax, match", [
+        (50, 1e-310, "too small for 50 bins"),
+        (50, 5e-324, "too small for 50 bins"),
+        # numpy scalars, whose own division would warn on the overflow
+        (np.int64(50), np.float64(1e-310), "too small for 50 bins"),
+        (50, 0.0, "positive and finite"),
+        (50, -1.0, "positive and finite"),
+        (50, np.nan, "positive and finite"),
+        (50, np.inf, "positive and finite"),
+        (50, 1.5, "beyond the window length"),
+        (0, None, "at least 1"),
+        (-1, None, "at least 1"),
+        (2.5, None, "an integer"),
+        # 2^24 bins x 2 replicates: refused before the edges exist
+        (2**24, None, "above the limit"),
+    ], ids=["rmax-1e-310", "rmax-5e-324", "numpy-scalars", "rmax-0", "rmax-negative",
+            "rmax-nan", "rmax-inf", "rmax-beyond-window", "bins-0", "bins-negative",
+            "bins-fractional", "count-cap"])
+    def test_bad_bins_refused_without_a_warning(self, bins, rmax, match):
+        batch = poisson_batch(10.0, 2, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                estimators.estimate_pcf(batch, bins, rmax)
 
     def test_estimate_is_nonnegative_and_sized(self):
         batch = poisson_batch(20.0, 200, seed=9)
@@ -142,18 +169,18 @@ class TestExpectedPcf:
 class TestBinIndex:
     @pytest.mark.parametrize("edges", [
         np.linspace(0.0, 0.25, 51),  # the default pcf bins of a unit window
-        np.linspace(0.1, 0.7, 13),
-        np.linspace(-3.0, 1e-3, 7),
+        np.linspace(0.0, 0.7, 13),
+        np.linspace(0.0, 1e-3, 7),
         np.linspace(0.0, 1.0, 2),
-        np.array([0.0, 0.1, 0.15, 0.4]),  # not uniform: searched
+        np.linspace(0.0, 3.0, 1001),
     ])
     def test_matches_the_search(self, edges):
         # every edge and its two neighbouring floats, values beyond both ends, and +-inf
         rng = np.random.default_rng(0)
-        span = edges[-1] - edges[0]
+        rmax = edges[-1]
         values = np.concatenate([
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-            rng.uniform(edges[0] - span, edges[-1] + span, 10_000),
+            rng.uniform(-rmax, 2 * rmax, 10_000),
             [-np.inf, np.inf, -1e12, 1e12],
         ])
         want = np.searchsorted(edges[:-1], values, side="right")
@@ -183,7 +210,7 @@ class TestCountStatistics:
 class TestPcfCsv:
     def test_round_trippable_columns(self, tmp_path):
         batch = poisson_batch(20.0, 100, seed=13)
-        est = estimators.estimate_pcf(batch, np.linspace(0, 0.25, 11))
+        est = estimators.estimate_pcf(batch, 10, 0.25)
         path = tmp_path / "pcf.csv"
         estimators.pcf_to_csv(path, est, g_theory=np.ones(10), header="# test")
         rows = path.read_text().strip().splitlines()

@@ -157,10 +157,10 @@ def reference_pcf(batch, edges):
 
 @st.composite
 def dyadic_batches(draw):
-    """A batch on a window whose points, and pcf edges, lie on a grid of step
-    2^-j: many distances equal an inner edge or the last one exactly.  Some
-    replicates are empty or hold one point; the last edge may be the window
-    length; the first edge may be above 0 (and bins may be empty)."""
+    """A batch on a window whose points lie on a grid of step 2^-j, with pcf bins
+    uniform from 0 to an rmax on the same grid: many distances equal an inner edge
+    or the last one exactly.  Some replicates are empty or hold one point; rmax
+    may be the window length (and bins may be empty)."""
     j = draw(st.integers(0, 4))
     steps = draw(st.integers(1, 40))
     a = draw(st.integers(-16, 16)) / 2**j
@@ -170,34 +170,20 @@ def dyadic_batches(draw):
         PointConfiguration(a + np.array(sorted(t), dtype=float) / 2**j, w)
         for t in draw(st.lists(ticks, min_size=1, max_size=6))
     ]
-    if draw(st.booleans()):
-        lo = draw(st.integers(0, steps - 1))
-        hi = draw(st.integers(lo + 1, steps))
-        edges = np.linspace(lo, hi, draw(st.integers(1, 8)) + 1) / 2**j
-    else:
-        edges = np.array(sorted(draw(st.lists(st.integers(0, steps), min_size=1, max_size=9))))
-        edges = edges / 2**j
-    return batch, edges
+    return batch, draw(st.integers(1, 8)), draw(st.integers(1, steps)) / 2**j
 
 
 @settings(deadline=None, max_examples=400)
 @given(dyadic_batches())
 def test_pcf_matches_per_replicate_histograms(case):
-    batch, edges = case
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if not any(len(c) for c in batch):
-            with pytest.raises(ValueError, match="all-empty"):
-                estimators.estimate_pcf(batch, edges)
-            return
-        est = estimators.estimate_pcf(batch, edges)
-        g, stderr = reference_pcf(batch, edges)
-    assert np.array_equal(est.g_hat, g, equal_nan=True)
-    assert np.array_equal(est.stderr, stderr, equal_nan=True)
-
-
-@pytest.mark.parametrize("edges", [[0.0, 0.2, 0.1], [0.3, 0.2], [0.0, 0.1, 0.1, 0.05, 0.2]])
-def test_decreasing_edges_rejected(edges):
-    w = Window(0.0, 1.0)
-    batch = [PointConfiguration([0.1, 0.2, 0.4], w), PointConfiguration([], w)]
-    with pytest.raises(ValueError, match="monotonically"):
-        estimators.estimate_pcf(batch, edges)
+    batch, bins, rmax = case
+    if not any(len(c) for c in batch):
+        with pytest.raises(ValueError, match="all-empty"):
+            estimators.estimate_pcf(batch, bins, rmax)
+        return
+    est = estimators.estimate_pcf(batch, bins, rmax)
+    edges = np.linspace(0.0, rmax, bins + 1)
+    g, stderr = reference_pcf(batch, edges)
+    assert np.array_equal(est.bin_edges, edges)
+    assert np.array_equal(est.g_hat, g)
+    assert np.array_equal(est.stderr, stderr)
