@@ -6,10 +6,17 @@ explicit trace.  This module exists to be obviously correct: the
 combinatorial machinery elsewhere is verified against it.  A ladder
 operator, a number operator and every product of them has at most one
 entry per column, so a `FockOperator` is a weighted index map in
-lexicographic occupation order, op|n> = amplitude[n] |target[n]>, built
-from the occupation table.  Products compose by gathers in O(dimension),
-and tr(rho op) reads one entry of rho per column.  States stay complex
-sparse (CSR) matrices; the single-mode coherent-state helpers are dense.
+lexicographic occupation order, op|n> = amplitude[n] |target[n]>.  The
+ladder operators of a space are stacked (kind, mode, dimension) index
+maps built from one occupation table, the Jordan-Wigner signs from one
+cumulative sum; `ladder` returns one row.  Products compose by gathers in
+O(dimension) and skip the constructor's checks, since a gather of valid
+index maps is valid.  tr(rho op) reads one entry of rho per column, and
+the commutation check and the Wick pair table take every mode pair or
+operator pair in one gather over stacked rows.  States stay complex
+sparse (CSR) matrices; the Gaussian state is built directly as the
+diagonal of its probability vector, checked once, and the single-mode
+coherent-state helpers are dense.
 """
 
 import warnings
@@ -20,6 +27,7 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
+from .samplers import _is_integer
 from .wick import wick_expand
 
 MAX_DIMENSION = 2**14
@@ -34,6 +42,10 @@ class ModeSpec:
     eta: int
 
     def __post_init__(self):
+        if not (_is_integer(self.n_modes) and _is_integer(self.cutoff)):
+            raise ValueError(
+                f"mode count and cutoff must be integers, got {self.n_modes!r} and {self.cutoff!r}"
+            )
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 or -1, got {self.eta}")
         if self.eta == -1 and self.cutoff != 1:
@@ -62,7 +74,8 @@ class FockOperator:
     Ladder and number operators and every product of them have this form.
     A column whose amplitude is 0 is the zero column and its target carries
     no meaning (`ladder` sets it to n).  `A @ B` composes in O(dimension) by
-    two gathers; `matrix` is the complex CSR view of the nonzero entries.
+    two gathers, without the constructor's checks; `matrix` is the complex
+    CSR view of the nonzero entries.
     """
 
     spec: ModeSpec
@@ -86,9 +99,9 @@ class FockOperator:
     def __matmul__(self, other):
         if other.spec != self.spec:
             raise ValueError(f"cannot compose operators on {self.spec} and {other.spec}")
-        return FockOperator(
-            self.spec, self.target[other.target], self.amplitude[other.target] * other.amplitude
-        )
+        # in-range targets gathered by in-range targets stay in range
+        return _unchecked(FockOperator, spec=self.spec, target=self.target[other.target],
+                          amplitude=self.amplitude[other.target] * other.amplitude)
 
     @property
     def matrix(self) -> sparse.csr_array:
@@ -97,8 +110,16 @@ class FockOperator:
         return sparse.csr_array(entries, shape=(self.spec.dimension,) * 2)
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass of fields known to be valid, unchecked."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def _identity(spec: ModeSpec) -> FockOperator:
-    return FockOperator(spec, np.arange(spec.dimension), np.ones(spec.dimension))
+    index = np.arange(spec.dimension)
+    return _unchecked(FockOperator, spec=spec, target=index, amplitude=np.ones(index.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,24 +138,47 @@ class DensityMatrix:
         rows = np.repeat(np.arange(d), np.diff(m.indptr))
         is_diagonal = not np.any(m.data[m.indices != rows])
         diagonal = m.diagonal()
-        if is_diagonal:
-            asymmetry = np.abs(diagonal - diagonal.conj()).max()
-        else:
-            asymmetry = abs(m - m.conj().T).max()
+        asymmetry = (np.abs(diagonal - diagonal.conj()).max() if is_diagonal
+                     else abs(m - m.conj().T).max())
         if asymmetry > 1e-12:
             raise ValueError("density matrix must be Hermitian")
         trace = diagonal.sum()
         if abs(trace - 1.0) > 1e-12:
             raise ValueError(f"density matrix must have unit trace, got {trace}")
-        if is_diagonal:
-            low = np.real(diagonal).min()
-        else:
-            low = np.linalg.eigvalsh(m.toarray()).min()
+        low = np.real(diagonal).min() if is_diagonal else np.linalg.eigvalsh(m.toarray()).min()
         if low < -1e-12:
             raise ValueError(f"density matrix has negative eigenvalue {low}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "is_diagonal", is_diagonal)
         object.__setattr__(self, "diagonal", diagonal)
+
+
+# the kinds in the order of the leading axis of the `_ladders` stacks
+_KINDS = ("annihilate", "create")
+
+
+def _ladders(spec: ModeSpec):
+    """(target, amplitude), each (2, n_modes, dimension): row [k, i] is a_i
+    for k = 0 and a_i^dag for k = 1, as in `ladder`."""
+    n = spec.occupations().T
+    stride = (spec.cutoff + 1) ** np.arange(spec.n_modes - 1, -1, -1)
+    acts = np.stack([n > 0, n < spec.cutoff])  # the columns a_i and a_i^dag keep
+    target = np.arange(spec.dimension) + np.multiply.outer([-1, 1], stride)[..., None] * acts
+    amplitude = np.sqrt(np.stack([n, n + 1]) * acts)
+    if spec.eta == -1:
+        # (-1)^(n_0 + ... + n_(i-1)); a_i^dag keeps the earlier occupations of its column
+        odd = np.cumsum(n, axis=0) - n
+        np.negative(amplitude, out=amplitude, where=((odd & 1) == 1) & acts)
+    return target, amplitude
+
+
+def _ladder_row(spec: ModeSpec, mode: int, kind: str):
+    """The (kind, mode) index of one ladder operator in the `_ladders` stacks."""
+    if not (_is_integer(mode) and 0 <= mode < spec.n_modes):
+        raise ValueError(f"mode {mode!r} is not an integer in range for {spec.n_modes} modes")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
+    return _KINDS.index(kind), mode
 
 
 def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
@@ -144,87 +188,66 @@ def ladder(spec: ModeSpec, mode: int, kind: str) -> FockOperator:
     the Jordan-Wigner sign applies to fermions only; creation is the
     transpose, so bosons truncate at the cutoff and fermions block at 1.
     """
-    if not 0 <= mode < spec.n_modes:
-        raise ValueError(f"mode {mode} out of range for {spec.n_modes} modes")
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    occ = spec.occupations()
-    n = occ[:, mode]
-    occupied = np.flatnonzero(n)  # basis states a_i does not annihilate
-    lowered = occupied - (spec.cutoff + 1) ** (spec.n_modes - mode - 1)
-    values = np.sqrt(n[occupied])
-    if spec.eta == -1:
-        values[occ[occupied, :mode].sum(axis=1) % 2 == 1] *= -1
-    # a_i takes column `occupied` to row `lowered`, a_i^dag the reverse
-    cols, rows = (occupied, lowered) if kind == "annihilate" else (lowered, occupied)
-    target = np.arange(spec.dimension)
-    amplitude = np.zeros(spec.dimension)
-    target[cols] = rows
-    amplitude[cols] = values
-    return FockOperator(spec, target, amplitude)
+    row = _ladder_row(spec, mode, kind)
+    target, amplitude = _ladders(spec)
+    return _unchecked(FockOperator, spec=spec, target=target[row], amplitude=amplitude[row])
 
 
 def _merge_columns(terms):
     """Sum the entries of each column that share a target.
 
-    `terms` lists (target, value) pairs of one-entry-per-column operators.
-    In order, each entry is added to the first earlier entry of its column
-    with the same target and then zeroed, so the (len(terms), dimension)
-    result holds every target of a column at most once among its nonzero
-    values, summed in the order the terms are listed.
-    """
+    `terms` lists (target, value) pairs of one-entry-per-column operators,
+    stacked with any leading shape.  In order, each entry is added to the
+    first earlier entry of its column with the same target and then zeroed:
+    each target of a column is left once at most among the nonzero values."""
     targets = np.array([t for t, _ in terms])
     values = np.array([v for _, v in terms])
     for k in range(1, len(terms)):
-        free = np.ones(targets.shape[1], dtype=bool)
+        free = np.ones(targets.shape[1:], dtype=bool)
         for earlier in range(k):
             hit = free & (targets[earlier] == targets[k])
-            values[earlier, hit] += values[k, hit]
+            values[earlier][hit] += values[k][hit]
             free &= ~hit
-        values[k, ~free] = 0.0
+        values[k][~free] = 0.0
     return targets, values
 
 
 def check_commutation(spec: ModeSpec) -> dict:
     """Maximum deviations from the canonical (anti)commutation relations.
 
-    One loop over a_i a_j^dag - eta a_j^dag a_i - delta_ij I and
-    a_i a_j - eta a_j a_i for every mode pair: eta = -1 gives the
-    anticommutators, +1 the commutators.  Each product has one entry per
-    column, so a column of either combination holds at most three entries,
-    merged by target.  Fermions are exact (integer matrices).  Bosons obey
-    [a_i, a_j^dag] = delta_ij I only on the bulk, the states with every
-    occupation below the cutoff; the deviation on the top-cutoff layer is
-    truncation-induced and reported separately.
-    """
-    eta = spec.eta
-    ann = [ladder(spec, i, "annihilate") for i in range(spec.n_modes)]
-    cre = [ladder(spec, i, "create") for i in range(spec.n_modes)]
-    identity = _identity(spec)
+    a_i a_j^dag - eta a_j^dag a_i - delta_ij I and a_i a_j - eta a_j a_i (eta
+    = -1 the anticommutators, +1 the commutators) for all mode pairs (i, j)
+    at once, by gathers on the `_ladders` stacks and a merge of the at most
+    three entries per column.  Fermions are exact.  Bosons obey [a_i, a_j^dag]
+    = delta_ij I only on the bulk (every occupation below the cutoff); the
+    truncation-induced deviation on the top-cutoff layer is reported apart."""
+    eta, m, d = spec.eta, spec.n_modes, spec.dimension
+    target, amplitude = _ladders(spec)
+    i = np.arange(m)[:, None, None]  # mode i along axis 0, mode j along axis 1
+
+    # kind k of mode i times kind l of mode j: (m, m, d) target and amplitude
+    def product(k, l):
+        right = target[l]
+        return target[k][i, right], amplitude[k][i, right] * amplitude[l]
+
+    # the terms of kind_k(i) kind_l(j) - eta kind_l(j) kind_k(i)
+    def combination(k, l):
+        forward = product(k, l)
+        backward = forward if k == l else product(l, k)
+        return [forward, (backward[0].swapaxes(0, 1), -eta * backward[1].swapaxes(0, 1))]
+
+    delta = (np.broadcast_to(np.arange(d), (m, m, d)),
+             np.broadcast_to(-np.eye(m)[..., None], (m, m, d)))
+    targets, values = _merge_columns(combination(0, 1) + [delta])
+    dev = np.abs(values)
     bulk = np.all(spec.occupations() < spec.cutoff, axis=1) | (eta == -1)
-    max_pair = 0.0
-    max_same = 0.0  # {a,a} or [a,a]
-    max_top = 0.0
-    for i, a_i in enumerate(ann):
-        for j, (a_j, adj) in enumerate(zip(ann, cre)):
-            forward, backward = a_i @ adj, adj @ a_i
-            terms = [(forward.target, forward.amplitude),
-                     (backward.target, -eta * backward.amplitude)]
-            if i == j:
-                terms.append((identity.target, -identity.amplitude))
-            targets, values = _merge_columns(terms)
-            dev = np.abs(values)
-            # bulk/top membership of each entry's row (its target) and column
-            row_in, col_in = bulk[targets], bulk
-            max_pair = max(max_pair, dev[row_in & col_in].max(initial=0.0))
-            max_top = max(max_top, dev[~(row_in | col_in)].max(initial=0.0))
-            forward, backward = a_i @ a_j, a_j @ a_i
-            _, values = _merge_columns([(forward.target, forward.amplitude),
-                                        (backward.target, -eta * backward.amplitude)])
-            max_same = max(max_same, np.abs(values).max(initial=0.0))
-    report = {"eta": eta, "max_pair_dev": max_pair, "max_same_kind_dev": max_same}
+    # bulk/top membership of each entry's row (its target) and column
+    row_in, col_in = bulk[targets], bulk
+    _, same = _merge_columns(combination(0, 0))
+    report = {"eta": eta, "max_pair_dev": dev[row_in & col_in].max(initial=0.0),
+              "max_same_kind_dev": np.abs(same).max(initial=0.0)}
     if eta == 1:
-        report["max_top_layer_dev"] = max_top
+        report["max_top_layer_dev"] = dev[~(row_in | col_in)].max(initial=0.0)
     return report
 
 
@@ -241,19 +264,21 @@ def gaussian_density_matrix(spec: ModeSpec, nu, beta: float, zeta: float) -> Den
     if beta <= 0 or not np.all(np.isfinite(nu)) or not np.isfinite(zeta):
         raise ValueError("beta must be positive and all levels finite")
     if spec.eta == 1 and np.any(nu <= zeta):
-        warnings.warn(
-            "bosonic levels at or below the chemical potential: the untruncated "
-            "state does not exist; results are cutoff-dependent",
-            stacklevel=2,
-        )
+        warnings.warn("bosonic levels at or below the chemical potential: the untruncated "
+                      "state does not exist; results are cutoff-dependent", stacklevel=2)
     energies = spec.occupations() @ (beta * (nu - zeta))
     weights = np.exp(-(energies - energies.min()))
     z = weights.sum()
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"non-finite partition function (Z = {z})")
-    d = spec.dimension
-    diagonal = sparse.csr_array((weights / z, np.arange(d), np.arange(d + 1)), shape=(d, d))
-    return DensityMatrix(spec, diagonal)
+    # with Z finite and positive, weights / Z is real, >= 0 and sums to 1 within
+    # rounding: a Hermitian, positive state of unit trace, built without the
+    # general checks of DensityMatrix
+    diagonal = (weights / z).astype(complex)
+    index = np.arange(spec.dimension + 1)
+    matrix = sparse.csr_array((diagonal, index[:-1], index), shape=(index[-1],) * 2)
+    return _unchecked(DensityMatrix, spec=spec, matrix=matrix, is_diagonal=True,
+                      diagonal=diagonal)
 
 
 def log_partition(spec: ModeSpec, nu, beta: float, zeta: float) -> float:
@@ -294,12 +319,19 @@ def _trace(rho: DensityMatrix, op: FockOperator) -> complex:
 COHERENT_TAIL_TOL = 1e-8
 
 
+def _check_alpha(alpha):
+    """Refuse a non-finite coherent amplitude before any arithmetic on it."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+
+
 def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated canonical coherent state, renormalized.
 
     Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) up to the cutoff; the
     discarded tail mass must stay below COHERENT_TAIL_TOL.
     """
+    _check_alpha(alpha)
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     amps = np.empty(cutoff + 1, dtype=complex)
@@ -307,7 +339,7 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > COHERENT_TAIL_TOL:
+    if not tail <= COHERENT_TAIL_TOL:  # a NaN tail fails too
         raise ValueError(
             f"truncation tail {tail:.3e} exceeds {COHERENT_TAIL_TOL:.1e}; raise the cutoff"
         )
@@ -339,6 +371,7 @@ def displacement_check(alpha: complex, cutoff: int) -> dict:
     truncated coherent state, and the unitarity of D: the orthonormality of
     the eigenbasis and the unit modulus of its phases.
     """
+    _check_alpha(alpha)
     v, x, c, phases = _displacement_eigenbasis(alpha, cutoff)
     n = np.arange(cutoff + 1)
     # u^dag a u = c v^T a v, and a v shifts the rows of v up by one
@@ -356,13 +389,8 @@ def displacement_check(alpha: complex, cutoff: int) -> dict:
     vacuum_dev = float(np.linalg.norm(vacuum - coherent_state(alpha, cutoff)))
     unitarity = max(float(np.abs(v.T @ v - np.eye(cutoff + 1)).max()),
                     float(np.abs(np.abs(phases) - 1.0).max()))
-    return {
-        "alpha": alpha,
-        "cutoff": cutoff,
-        "action_dev": action_dev,
-        "vacuum_dev": vacuum_dev,
-        "unitarity_dev": unitarity,
-    }
+    return {"alpha": alpha, "cutoff": cutoff, "action_dev": action_dev,
+            "vacuum_dev": vacuum_dev, "unitarity_dev": unitarity}
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +413,35 @@ class WickCheck:
         }
 
 
+def _wick_pair_table(target, amplitude, diagonal) -> np.ndarray:
+    """tr(rho op_i op_j) for i < j (zero elsewhere) of stacked (n, dimension)
+    operator rows under the state diag(`diagonal`): one (pairs, dimension)
+    gather composes every pair, and tr(rho P) sums diagonal[n] amplitude[n]
+    over the columns that P maps to themselves."""
+    n, d = target.shape
+    i, j = np.triu_indices(n, 1)
+    flat = target[j] + (i * d)[:, None]  # row i of the stack, gathered by row j
+    product = amplitude.ravel()[flat] * amplitude[j]
+    product[target.ravel()[flat] != np.arange(d)] = 0.0
+    table = np.zeros((n, n), dtype=complex)
+    table[i, j] = product @ diagonal
+    return table
+
+
 def wick_verify(spec: ModeSpec, nu, beta: float, zeta: float, op_sequence) -> WickCheck:
     """Exact trace of a ladder-operator product vs its Wick expansion.
 
     `op_sequence` lists (kind, mode) pairs in operator order; the pair
     table fed to the expansion holds the traces tr(rho op_i op_j) under
-    the same Gaussian state.
+    the same Gaussian state, which is diagonal.
     """
-    ops = [ladder(spec, mode, kind) for kind, mode in op_sequence]
+    rows = [_ladder_row(spec, mode, kind) for kind, mode in op_sequence]
+    kinds, modes = np.array(rows, dtype=int).reshape(-1, 2).T
+    target, amplitude = _ladders(spec)
+    target, amplitude = target[kinds, modes], amplitude[kinds, modes]
     rho = gaussian_density_matrix(spec, nu, beta, zeta)
-    exact = expectation(rho, ops)
-    n = len(ops)
-    table = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            table[i, j] = _trace(rho, ops[i] @ ops[j])
-    predicted = wick_expand(table, spec.eta)
-    return WickCheck(
-        tuple((k, m) for k, m in op_sequence),
-        exact,
-        predicted,
-        abs(exact - predicted),
-    )
+    exact = expectation(rho, [_unchecked(FockOperator, spec=spec, target=t, amplitude=a)
+                              for t, a in zip(target, amplitude)])
+    predicted = wick_expand(_wick_pair_table(target, amplitude, rho.diagonal.real), spec.eta)
+    return WickCheck(tuple((k, m) for k, m in op_sequence), exact, predicted,
+                     abs(exact - predicted))

@@ -2,6 +2,7 @@
 occupation laws, coherent states, and Wick verification."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestModeSpec:
         assert ModeSpec(14, 1, -1).dimension == fock.MAX_DIMENSION
         with pytest.raises(ValueError, match="dimension"):
             ModeSpec(15, 1, -1)
+
+    @pytest.mark.parametrize("n_modes, cutoff, eta", [(2.0, 1, -1), (1, 8.5, 1), (True, 1, -1)])
+    def test_non_integer_size_refused(self, n_modes, cutoff, eta):
+        # a float or a bool would give a float or bool-counted dimension
+        with pytest.raises(ValueError, match="integers"):
+            ModeSpec(n_modes, cutoff, eta)
+
+    def test_numpy_integers_accepted(self):
+        assert ModeSpec(np.int64(2), np.int32(8), 1).dimension == 81
 
     def test_occupations_lexicographic(self):
         spec = ModeSpec(2, 2, 1)
@@ -110,6 +120,14 @@ class TestLadderFermions:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             fock.ladder(ModeSpec(2, 1, -1), 2, "create")
+
+    @pytest.mark.parametrize("mode", [1.0, True])
+    def test_non_integer_mode_refused(self, mode):
+        spec = ModeSpec(2, 1, -1)
+        with pytest.raises(ValueError, match="integer"):
+            fock.ladder(spec, mode, "create")
+        with pytest.raises(ValueError, match="integer"):
+            fock.wick_verify(spec, [0.5, 1.0], 1.0, 0.0, [("create", mode), ("annihilate", 0)])
 
     def test_operator_validation(self):
         spec = ModeSpec(2, 1, -1)
@@ -175,6 +193,15 @@ class TestGaussianDensity:
         spec = ModeSpec(1, 1, -1)
         rho = fock.gaussian_density_matrix(spec, np.array([0.7]), 2.0, 0.7)
         assert occupation(rho, 0) == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("spec, nu", [(ModeSpec(4, 1, -1), [-1.0, 0.2, 0.9, 2.5]),
+                                          (ModeSpec(3, 8, 1), [0.5, 1.0, 2.0])])
+    def test_state_passes_the_general_checks(self, spec, nu):
+        rho = fock.gaussian_density_matrix(spec, np.array(nu), 1.3, 0.1)
+        checked = DensityMatrix(spec, rho.matrix)
+        assert rho.is_diagonal and checked.is_diagonal
+        assert np.array_equal(rho.diagonal, checked.diagonal)
+        assert np.array_equal(rho.matrix.toarray(), checked.matrix.toarray())
 
     def test_boson_at_chemical_potential_warns(self):
         spec = ModeSpec(1, 5, 1)
@@ -270,6 +297,14 @@ class TestCoherentState:
     def test_tail_rejection(self):
         with pytest.raises(ValueError, match="tail"):
             fock.coherent_state(4.0, 10)
+
+    @pytest.mark.parametrize("alpha", [np.nan, complex("nan+1j"), np.inf])
+    @pytest.mark.parametrize("function", [fock.coherent_state, fock.displacement_check])
+    def test_non_finite_alpha_refused_without_a_warning(self, function, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                function(alpha, 10)
 
 
 class TestDisplacement:

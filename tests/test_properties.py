@@ -97,6 +97,30 @@ def test_sparse_oracle_matches_dense_definition(case, seed):
         assert abs(fock.expectation(rho, ops) - want) <= 1e-12 * scale
 
 
+@settings(deadline=None, max_examples=200)
+@given(small_fock_cases().filter(lambda case: len(case[1]) >= 2), st.data())
+def test_wick_pair_table_matches_dense_traces(case, data):
+    spec, seq = case
+    levels = st.lists(st.floats(0.2, 3.0), min_size=spec.n_modes, max_size=spec.n_modes)
+    nu, beta = np.array(data.draw(levels)), data.draw(st.floats(0.3, 2.0))
+    weights = np.exp(-beta * (spec.occupations() @ nu))
+    rho_dense = np.diag(weights / weights.sum())
+    target, amplitude = fock._ladders(spec)
+    rows = tuple(np.array([fock._ladder_row(spec, mode, kind) for kind, mode in seq]).T)
+    rho = fock.gaussian_density_matrix(spec, nu, beta, 0.0)
+    table = fock._wick_pair_table(target[rows], amplitude[rows], rho.diagonal.real)
+    ops = [fock.ladder(spec, mode, kind) for kind, mode in seq]
+    dense_ops = [kronecker_ladder(spec, mode, kind) for kind, mode in seq]
+    for i, j in zip(*np.triu_indices(len(seq), 1)):
+        want = np.trace(rho_dense @ dense_ops[i] @ dense_ops[j])
+        scale = np.trace(abs(rho_dense) @ abs(dense_ops[i]) @ abs(dense_ops[j]))
+        assert abs(table[i, j] - want) <= 1e-12 * scale
+        # the product the unchecked `@` makes passes the constructor's checks
+        product = ops[i] @ ops[j]
+        fock.FockOperator(spec, product.target, product.amplitude)
+    assert not np.any(np.tril(table))
+
+
 def dense_commutation(spec):
     """The report of `fock.check_commutation` from dense Kronecker ladders."""
     eta, eye = spec.eta, np.eye(spec.dimension)
