@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SpectralKernel
+from .kernels import SpectralKernel, _check_eta
 
 # largest deviation from unitarity a basis-change matrix may have
 UNITARY_TOL = 1e-10
@@ -35,8 +35,7 @@ class GrandCanonicalSpec:
         object.__setattr__(self, "nu", nu)
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.eta not in (-1, 1):
-            raise ValueError(f"eta must be +1 or -1, got {self.eta}")
+        _check_eta(self.eta)
         if self.eta == 1 and np.any(nu <= self.zeta):
             raise ValueError(
                 "bosonic levels must lie above the chemical potential "
@@ -64,8 +63,7 @@ def spectrum_to_levels(
     admissible intervals.  zeta is a free convention (only nu - zeta
     matters) and defaults to 0.
     """
-    if eta not in (-1, 1):
-        raise ValueError(f"eta must be +1 or -1, got {eta}")
+    _check_eta(eta)
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lam <= 0):
         raise ValueError("target eigenvalues must be positive (0 only as a limit)")

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import _is_integer, batch_window
+from .kernels import _is_integer
+from .samplers import batch_window
 
 # most entries of the (replicates, bins) pair-count table of `estimate_pcf`, which
 # peaks at about 17 bytes per entry: about 270 MiB at the limit

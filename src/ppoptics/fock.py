@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
-from .samplers import _is_integer
+from .kernels import _check_eta, _is_integer, _unchecked
 from .wick import wick_expand
 
 MAX_DIMENSION = 2**14
@@ -46,8 +46,7 @@ class ModeSpec:
             raise ValueError(
                 f"mode count and cutoff must be integers, got {self.n_modes!r} and {self.cutoff!r}"
             )
-        if self.eta not in (-1, 1):
-            raise ValueError(f"eta must be +1 or -1, got {self.eta}")
+        _check_eta(self.eta)
         if self.eta == -1 and self.cutoff != 1:
             raise ValueError("fermions force cutoff = 1")
         if self.n_modes < 1 or self.cutoff < 1:
@@ -108,13 +107,6 @@ class FockOperator:
         cols = np.flatnonzero(self.amplitude)
         entries = (self.amplitude[cols].astype(complex), (self.target[cols], cols))
         return sparse.csr_array(entries, shape=(self.spec.dimension,) * 2)
-
-
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass of fields known to be valid, unchecked."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
 
 
 def _identity(spec: ModeSpec) -> FockOperator:

@@ -12,6 +12,11 @@ sampled from the command line.  A spectral kernel owns its observation
 `Window` and is sampled on it.  The permanental (Lorentz-line) process
 needs no kernel object: its law depends on the envelope time sigma alone,
 which the samplers take directly.
+
+Importing nothing from the package, this module also holds the private
+rules the others share: what counts as an integer (`_is_integer`), the
+one check of the statistics eta (`_check_eta`) and the unchecked
+constructor of a frozen dataclass (`_unchecked`).
 """
 
 import math
@@ -31,6 +36,24 @@ _RECURRENCE_BACK = np.sqrt(
 ).tolist()
 # rounding slack on the existence bounds of a kernel spectrum
 _SPECTRUM_TOL = 1e-12
+
+
+def _is_integer(n) -> bool:
+    """Whether n is an integer, a numpy one included; a bool is not one."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _check_eta(eta):
+    """Refuse an eta other than the integer +1 or -1 (a bool or a float too)."""
+    if not (_is_integer(eta) and eta in (-1, 1)):
+        raise ValueError(f"eta must be +1 or -1, got {eta}")
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass of fields known to be valid, unchecked."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -124,8 +147,7 @@ class SpectralKernel:
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", lam)
-        if self.eta not in (-1, 1):
-            raise ValueError(f"eta must be +1 or -1, got {self.eta}")
+        _check_eta(self.eta)
         upper = 1.0 if self.eta == -1 else np.inf
         bad = ~(np.isfinite(lam) & (lam >= -_SPECTRUM_TOL) & (lam <= upper + _SPECTRUM_TOL))
         if bad.any():

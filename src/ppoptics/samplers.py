@@ -55,13 +55,12 @@ chain evaluates the feature map at each round's proposals.
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian_field import _intensity_sampler
-from .kernels import SpectralKernel, Window
+from .kernels import SpectralKernel, Window, _is_integer, _unchecked
 
 
 # grid density of the determinantal and fixed-count samplers, in the library and
@@ -168,15 +167,6 @@ class PointConfiguration:
                 raise ValueError("configuration must be simple (strictly increasing)")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def _unchecked(cls, points: np.ndarray, window: Window):
-        """A configuration that takes `points` as they are: a float array of its
-        own, strictly increasing and inside the window, none of which is checked."""
-        config = object.__new__(cls)
-        object.__setattr__(config, "points", points)
-        object.__setattr__(config, "window", window)
-        return config
-
     def __len__(self) -> int:
         return self.points.size
 
@@ -190,11 +180,6 @@ def batch_window(batch) -> Window:
         if config.window != w:
             raise ValueError("all replicates must share the same window")
     return w
-
-
-def _is_integer(n) -> bool:
-    """Whether n is an integer, a numpy one included; a bool is not one."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _check_replicates(reps: int):
@@ -293,9 +278,10 @@ def _configurations(pts, counts, grid: CellGrid, rng) -> list:
     rows[used] = pts
     rows.sort(axis=1)
     tied = ((rows[:, 1:] <= rows[:, :-1]) & used[:, 1:]).any(axis=1)
-    # _simple_sorted returns a new array
-    return [PointConfiguration._unchecked(
-                _simple_sorted(r[:c], w, rng, grid.cell) if t else r[:c].copy(), w)
+    # unchecked: each row is a float array of its own (_simple_sorted returns a
+    # new one), strictly increasing and inside the window
+    return [_unchecked(PointConfiguration, window=w,
+                       points=_simple_sorted(r[:c], w, rng, grid.cell) if t else r[:c].copy())
             for r, c, t in zip(rows, counts, tied)]
 
 
@@ -737,4 +723,4 @@ def load_batch_csv(path):
     )
     if not trusted:
         return [PointConfiguration(p, w) for p in pieces], meta
-    return [PointConfiguration._unchecked(p.copy(), w) for p in pieces], meta
+    return [_unchecked(PointConfiguration, points=p.copy(), window=w) for p in pieces], meta

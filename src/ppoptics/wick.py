@@ -10,14 +10,20 @@ time for the permanent, whose product over rows is taken one row at a
 time and in real arithmetic for a real matrix; one block of (n-1)!
 permutations per placement of the last index for the alpha-determinant.
 Their caps, PERMANENT_MAX_DIM = 24 and ALPHA_DET_MAX_DIM = 10, keep a
-call near one second or below, as does CONTRACTION_MAX_ORDER = 14 for
-the (n-1)!! contraction objects: 135,135 of them, 45 MB; order 16 costs
-15x that.
+call near one second or below.  The contractions of each order are one
+table, built once from the order below and shared; the Wick expansion
+gathers every pair moment of every contraction in one step.  At
+CONTRACTION_MAX_ORDER = 14 the table holds 135,135 records (2 MB, built
+in about 20 ms) and an expansion takes about 40 ms with a 19 MB gather
+on one core; order 16 has 15x the records, takes 0.6 s and peaks near
+310 MB.
 """
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
+
+from .kernels import _check_eta
 
 PERMANENT_MAX_DIM = 24
 ALPHA_DET_MAX_DIM = 10
@@ -155,78 +161,61 @@ def alpha_determinant(m, alpha: float) -> complex:
     return complex(total)
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """A pairing of {0..order-1} with the parity of the induced permutation.
+def enumerate_contractions(n: int) -> np.ndarray:
+    """All (n-1)!! contractions of order n, as one shared read-only table.
 
-    Pairs are ordered so that first elements increase and each pair is
-    (low, high); the flattened pair sequence is the permutation whose
-    signature is `parity`.
-    """
-
-    order: int
-    pairs: tuple
-    parity: int
-
-    def __post_init__(self):
-        flat = [i for p in self.pairs for i in p]
-        if sorted(flat) != list(range(self.order)):
-            raise ValueError("pairs must partition 0..order-1")
-
-
-def enumerate_contractions(n: int) -> list:
-    """All (n-1)!! contractions of order n.
-
-    Constructive scheme: repeatedly pair the smallest unpaired index
-    with every remaining index.  Pairing it with the k-th remaining one
-    (k = 0, 1, ...) moves that index across k others in the flattened
-    sequence, so the parity picks up a factor (-1)^k.  Rejects odd n
-    and n above CONTRACTION_MAX_ORDER.
+    One record per contraction: `pairs`, the (n/2, 2) int8 pairs of
+    {0..n-1} with increasing first elements and each pair (low, high),
+    and `parity`, the signature of the flattened pair sequence.  Rejects
+    odd n and n above CONTRACTION_MAX_ORDER.
     """
     if n <= 0 or n % 2:
         raise ValueError(f"contraction order must be even and positive, got {n}")
     if n > CONTRACTION_MAX_ORDER:
         raise ValueError(f"contraction order limited to {CONTRACTION_MAX_ORDER}, got {n}")
+    return _contraction_table(n)
 
-    out = []
 
-    def pair_up(remaining, acc, parity):
-        if not remaining:
-            out.append(Contraction(n, tuple(acc), parity))
-            return
-        first, rest = remaining[0], remaining[1:]
-        for k, partner in enumerate(rest):
-            pair_up(rest[:k] + rest[k + 1:], acc + [(first, partner)], parity * (-1) ** k)
+@functools.cache
+def _contraction_table(n: int) -> np.ndarray:
+    """The records of enumerate_contractions(n), built from order n - 2.
 
-    pair_up(list(range(n)), [], 1)
-    return out
+    Index 0 is paired with its k-th partner k + 1 (k = 0, 1, ...), and the
+    remaining indices are paired as every contraction of order n - 2,
+    relabelled.  That moves the partner across k others in the flattened
+    sequence, so the parity picks up a factor (-1)^k.
+    """
+    dtype = np.dtype([("pairs", np.int8, (n // 2, 2)), ("parity", np.int8)])
+    if n == 0:
+        table = np.ones(1, dtype)
+    else:
+        rest = _contraction_table(n - 2)
+        table = np.empty((n - 1) * len(rest), dtype)
+        for k, block in enumerate(np.split(table, n - 1)):
+            block["pairs"][:, 0] = (0, k + 1)
+            block["pairs"][:, 1:] = np.delete(np.arange(1, n), k)[rest["pairs"]]
+            block["parity"] = rest["parity"] * (-1) ** k
+    table.flags.writeable = False
+    return table
 
 
 def wick_expand(pair_table, eta: int) -> complex:
     """Wick expansion: sum over contractions of eta^parity times pair moments.
 
     `pair_table[i, j]` holds the two-point average of operators i and j
-    (only i < j entries are used).  Odd-sized tables return exactly 0,
-    since creation and annihilation numbers cannot match.
+    (only i < j entries are used); its entries must be finite.  Odd-sized
+    tables return exactly 0, since creation and annihilation numbers
+    cannot match.  Every contraction's pair moments are gathered at once
+    and multiplied along each record.
     """
     _check_eta(eta)
-    t = np.asarray(pair_table, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"pair table must be square, got shape {t.shape}")
+    t = _as_square(pair_table)
     n = t.shape[0]
     if n == 0:
         return 1 + 0j
     if n % 2:
         return 0j
-    total = 0j
-    for c in enumerate_contractions(n):
-        prod = 1 + 0j
-        for i, j in c.pairs:
-            prod *= t[i, j]
-        total += prod if c.parity == 1 else eta * prod
-    return total
-
-
-def _check_eta(eta):
-    if eta not in (-1, 1):
-        raise ValueError(f"eta must be +1 or -1, got {eta}")
+    table = enumerate_contractions(n)
+    pairs = table["pairs"]
+    terms = t[pairs[..., 0], pairs[..., 1]].prod(axis=1)
+    return complex(terms @ np.where(table["parity"] == 1, 1, eta))

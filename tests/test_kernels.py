@@ -1,10 +1,12 @@
 """Closed-form kernels against direct evaluation and quadrature oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, factorial
 
-from ppoptics import kernels
+from ppoptics import builder, fock, kernels, wick
 
 
 class TestHermiteFunctions:
@@ -166,3 +168,27 @@ class TestKernelFromSpec:
     def test_malformed(self):
         with pytest.raises(ValueError):
             kernels.kernel_from_spec({"params": {}})
+
+
+# every public entry point that takes the statistics eta
+ETA_ENTRY_POINTS = {
+    "ModeSpec": lambda eta: fock.ModeSpec(1, 1, eta),
+    "SpectralKernel": lambda eta: dataclasses.replace(kernels.hermite_projection_kernel(2),
+                                                      eta=eta),
+    "GrandCanonicalSpec": lambda eta: builder.GrandCanonicalSpec(1.0, 0.0, [1.0], eta),
+    "spectrum_to_levels": lambda eta: builder.spectrum_to_levels([0.5], beta=1.0, eta=eta),
+    "wick_expand": lambda eta: wick.wick_expand(np.ones((2, 2)), eta),
+}
+
+
+class TestEtaRule:
+    @pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
+    @pytest.mark.parametrize("eta", [True, 1.0, -1.0, 0, 2])
+    def test_refused(self, entry, eta):
+        with pytest.raises(ValueError, match="eta must be"):
+            ETA_ENTRY_POINTS[entry](eta)
+
+    @pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
+    @pytest.mark.parametrize("eta", [1, -1, np.int64(-1)])
+    def test_accepted(self, entry, eta):
+        ETA_ENTRY_POINTS[entry](eta)

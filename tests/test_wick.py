@@ -1,5 +1,6 @@
 """Determinant/permanent/contraction primitives against independent oracles."""
 
+import functools
 import itertools
 import math
 
@@ -250,17 +251,22 @@ def exhaustive_contractions(n):
     return found
 
 
+def as_pairings(table):
+    """{pairs as nested tuples: parity} of a contraction table."""
+    return {tuple(map(tuple, p)): s
+            for p, s in zip(table["pairs"].tolist(), table["parity"].tolist())}
+
+
 class TestContractions:
     def test_order_two(self):
         cs = wick.enumerate_contractions(2)
         assert len(cs) == 1
-        assert cs[0].pairs == ((0, 1),)
-        assert cs[0].parity == 1
+        assert cs["pairs"][0].tolist() == [[0, 1]]
+        assert cs["parity"][0] == 1
 
     def test_order_four_matches_displayed_pairings(self):
         cs = wick.enumerate_contractions(4)
-        got = {c.pairs: c.parity for c in cs}
-        assert got == {
+        assert as_pairings(cs) == {
             ((0, 1), (2, 3)): 1,
             ((0, 2), (1, 3)): -1,
             ((0, 3), (1, 2)): 1,
@@ -270,7 +276,7 @@ class TestContractions:
         cs = wick.enumerate_contractions(6)
         assert len(cs) == 15
         oracle = exhaustive_contractions(6)
-        got = {tuple(i for p in c.pairs for i in p): c.parity for c in cs}
+        got = {tuple(p.ravel().tolist()): int(s) for p, s in zip(cs["pairs"], cs["parity"])}
         assert got == oracle
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -280,8 +286,9 @@ class TestContractions:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_parity_is_signature_of_flattened_pairs(self, n):
-        for c in wick.enumerate_contractions(n):
-            assert c.parity == inversion_parity([i for p in c.pairs for i in p]), c.pairs
+        cs = wick.enumerate_contractions(n)
+        for pairs, parity in zip(cs["pairs"], cs["parity"]):
+            assert parity == inversion_parity(pairs.ravel().tolist()), pairs
 
     @pytest.mark.parametrize("bad", [0, 3, 7, 18])
     def test_rejects_bad_orders(self, bad):
@@ -291,6 +298,26 @@ class TestContractions:
     def test_rejects_order_above_cap(self):
         with pytest.raises(ValueError, match="limited"):
             wick.enumerate_contractions(wick.CONTRACTION_MAX_ORDER + 2)
+
+    def test_table_is_shared_and_read_only(self):
+        cs = wick.enumerate_contractions(8)
+        assert wick.enumerate_contractions(8) is cs
+        for view in (cs, cs["pairs"], cs["parity"]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+
+
+def memoised_hafnian(t):
+    """Oracle: sum over pairings of the i < j entries, pairing the smallest
+    free index with each other one, memoised on the free set."""
+    @functools.cache
+    def haf(free):
+        if not free:
+            return 1 + 0j
+        first = min(free)
+        return sum(t[first, j] * haf(free - {first, j}) for j in free - {first})
+
+    return haf(frozenset(range(t.shape[0])))
 
 
 class TestWickExpand:
@@ -305,6 +332,23 @@ class TestWickExpand:
         want = t[0, 1] * t[2, 3] + eta * t[0, 2] * t[1, 3] + t[0, 3] * t[1, 2]
         assert wick.wick_expand(t, eta) == pytest.approx(want)
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_fermion_square_is_determinant(self, n):
+        # Pf(A)^2 = det(A) for the antisymmetric completion A of the i < j entries
+        rng = np.random.default_rng([n, 1])
+        t = random_complex(rng, n)
+        upper = np.triu(t, 1)
+        det = np.linalg.det(upper - upper.T)
+        assert abs(wick.wick_expand(t, -1) ** 2 - det) <= 1e-10 * abs(det)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("complex_table", [False, True])
+    def test_boson_matches_memoised_recursion(self, n, complex_table):
+        rng = np.random.default_rng([n, 2])
+        t = random_complex(rng, n) if complex_table else rng.standard_normal((n, n))
+        want = memoised_hafnian(t)
+        assert abs(wick.wick_expand(t, 1) - want) <= 1e-10 * max(1.0, abs(want))
+
     def test_odd_size_is_exactly_zero(self):
         t = np.ones((5, 5))
         assert wick.wick_expand(t, 1) == 0
@@ -312,6 +356,17 @@ class TestWickExpand:
     def test_eta_validated(self):
         with pytest.raises(ValueError):
             wick.wick_expand(np.ones((2, 2)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry_refused(self, bad):
+        t = np.ones((4, 4), dtype=complex)
+        t[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wick.wick_expand(t, 1)
+
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            wick.wick_expand(np.ones((2, 3)), 1)
 
 
 class TestCorrelatorValue:
